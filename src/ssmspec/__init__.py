@@ -10,13 +10,14 @@ from .exact import (
     ContractionRatio,
     Digit,
     DigitSet,
+    FourDigitShape,
     InternalInconsistency,
     InvalidInput,
     IrreducibleWitness,
     NormalizedDigits,
     Unsupported,
     WeightVector,
-    decompose_even,
+    four_digit_shape,
     normalize_digits,
     parse_digit,
     parse_rational,
@@ -28,13 +29,11 @@ from .zeros import (
     VanishingCase,
     ZeroSet,
     cyclotomic_poly,
-    mask_eval_exact,
     mask_value,
     mask_zero_set,
     mu_zero_member,
     vanishing_case,
     zero_set,
-    zero_set_member,
 )
 from .hadamard import (
     HadamardTriple,
@@ -69,7 +68,6 @@ from .numerics import (
     MuHatEvaluator,
     QSample,
     gram_matrix,
-    mu_hat,
     q_function,
     unitarity_defect,
 )

@@ -25,9 +25,9 @@ from .exact import (
     WeightVector,
     as_digit,
     as_fraction,
+    four_digit_shape,
     normalize_digits,
     val2,
-    decompose_even,
 )
 from .hadamard import (
     HadamardTriple,
@@ -47,8 +47,8 @@ class Outcome(Enum):
 class Reason(Enum):
     """Closed enumeration of decision reasons, for downstream scan tooling.
 
-    ``PARITY_PATTERN`` and ``CARD3_RESIDUE_FAIL`` are defensive: those
-    failures surface earlier as ``EMPTY_ZERO_SET``.
+    A four-digit set without exactly two odd digits, or a three-digit set not
+    covering the residues {1, 2} mod 3, ends as ``EMPTY_ZERO_SET``.
     """
 
     UNEQUAL_WEIGHTS = "UnequalWeights"
@@ -56,10 +56,8 @@ class Reason(Enum):
     EMPTY_ZERO_SET = "EmptyZeroSet"
     RHO_NOT_RECIPROCAL_INTEGER = "RhoNotReciprocalInteger"
     N_ODD = "NOdd"
-    PARITY_PATTERN = "ParityPattern"
     T_DISTINCT = "TDistinct"
     T_DIVISIBLE_BY_BETA = "TDivisibleByBeta"
-    CARD3_RESIDUE_FAIL = "Card3ResidueFail"
     CARD3_N_NOT_DIVISIBLE_BY_3 = "Card3NNotDivisibleBy3"
     OK = "OK"
     UNSUPPORTED = "Unsupported"
@@ -245,40 +243,20 @@ def classify(
             normalized=norm,
         )
 
-    if card == 2:
-        if n_ratio % 2:
-            return verdict(Outcome.NON_SPECTRAL, Reason.N_ODD, ("bernoulli", "zero-containment"), normalized=norm)
-        triple = HadamardTriple(n_ratio, norm.integers, (0, n_ratio // 2))
+    if card < 4:
+        # Two or three digits with a nonempty zero set: spectral iff card | N,
+        # with spectrum {j * N / card}.
+        rule = "bernoulli" if card == 2 else "card3"
+        if n_ratio % card:
+            reason = Reason.N_ODD if card == 2 else Reason.CARD3_N_NOT_DIVISIBLE_BY_3
+            return verdict(Outcome.NON_SPECTRAL, reason, (rule, "zero-containment"), normalized=norm)
+        triple = HadamardTriple(n_ratio, norm.integers, tuple(j * n_ratio // card for j in range(card)))
         if not triple.verify():
-            raise InternalInconsistency("two-digit certificate failed verification")
+            raise InternalInconsistency(f"{card}-digit certificate failed verification")
         return verdict(
             Outcome.SPECTRAL,
             Reason.OK,
-            ("bernoulli",),
-            normalized=norm,
-            certificate=Certificate("hadamard-triple", triple=triple),
-        )
-
-    if card == 3:
-        _, a, b = norm.integers
-        if {a % 3, b % 3} != {1, 2}:  # defensive; zero_set already screened this
-            return verdict(
-                Outcome.NON_SPECTRAL, Reason.CARD3_RESIDUE_FAIL, ("card3-residues",), normalized=norm
-            )
-        if n_ratio % 3:
-            return verdict(
-                Outcome.NON_SPECTRAL,
-                Reason.CARD3_N_NOT_DIVISIBLE_BY_3,
-                ("card3", "zero-containment"),
-                normalized=norm,
-            )
-        triple = HadamardTriple(n_ratio, norm.integers, (0, n_ratio // 3, 2 * n_ratio // 3))
-        if not triple.verify():
-            raise InternalInconsistency("three-digit certificate failed verification")
-        return verdict(
-            Outcome.SPECTRAL,
-            Reason.OK,
-            ("card3",),
+            (rule,),
             normalized=norm,
             certificate=Certificate("hadamard-triple", triple=triple),
         )
@@ -287,23 +265,18 @@ def classify(
     # are odd, and the classification runs on the 2-adic valuations.
     if n_ratio % 2:
         return verdict(Outcome.NON_SPECTRAL, Reason.N_ODD, ("card4", "zero-containment"), normalized=norm)
-    _, x, y, z = norm.integers
-    odds = [d for d in (x, y, z) if d % 2]
-    if len(odds) != 2:  # defensive; zero_set already screened this
-        return verdict(Outcome.NON_SPECTRAL, Reason.PARITY_PATTERN, ("parity",), normalized=norm)
-    a, c = min(odds), max(odds)
-    b = next(d for d in (x, y, z) if d % 2 == 0)
-    t1, ell1 = val2(b)
-    t2, ell2 = val2(c - a)
-    if t1 != t2:
+    shape = four_digit_shape(norm.integers)
+    if shape.t1 != shape.t2:
         return verdict(Outcome.NON_SPECTRAL, Reason.T_DISTINCT, ("card4", "t-distinct"), normalized=norm)
-    beta, m = decompose_even(n_ratio)
-    if t1 % beta == 0:
+    beta, m = val2(n_ratio)
+    if shape.t1 % beta == 0:
         return verdict(
             Outcome.NON_SPECTRAL, Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"), normalized=norm
         )
-    k, r = divmod(t1, beta)
-    dec = StructureDecomposition(a=a, t=t1, ell=ell1, ell_prime=ell2, beta=beta, m=m, k=k, r=r)
+    k, r = divmod(shape.t1, beta)
+    dec = StructureDecomposition(
+        a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m, k=k, r=r
+    )
     pf = construct_product_form(dec, n_ratio)
     return verdict(
         Outcome.SPECTRAL,

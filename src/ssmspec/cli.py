@@ -25,7 +25,9 @@ from .exact import (
     InvalidInput,
     Unsupported,
     as_digit,
+    four_digit_shape,
     parse_rational,
+    val2,
 )
 from .hadamard import HadamardTriple, find_spectrum_set, verify_product_form
 from .numerics import (
@@ -176,22 +178,16 @@ def _certificate_ok(verdict: Verdict) -> Optional[bool]:
 def _card4_invariants(verdict: Verdict, n_ratio: int) -> list[str]:
     """Necessity conditions every four-digit Spectral verdict must satisfy."""
     problems = []
-    ints = verdict.normalized.integers
-    odds = [d for d in ints[1:] if d % 2]
+    shape = four_digit_shape(verdict.normalized.integers)
+    beta, _ = val2(n_ratio)
     if n_ratio % 2:
         problems.append("Spectral with odd N")
-    if len(odds) != 2:
+    if shape is None:
         problems.append("Spectral without the two-odd-one-even pattern")
-    else:
-        b = next(d for d in ints[1:] if d % 2 == 0)
-        t1 = (b & -b).bit_length() - 1
-        diff = max(odds) - min(odds)
-        t2 = (diff & -diff).bit_length() - 1
-        beta = (n_ratio & -n_ratio).bit_length() - 1
-        if t1 != t2:
-            problems.append("Spectral with t1 != t2")
-        elif beta and t1 % beta == 0:
-            problems.append("Spectral with beta dividing t")
+    elif shape.t1 != shape.t2:
+        problems.append("Spectral with t1 != t2")
+    elif beta and shape.t1 % beta == 0:
+        problems.append("Spectral with beta dividing t")
     return problems
 
 
@@ -267,12 +263,19 @@ def _spectrum_points(args, n_ratio: int):
             )
         triple = HadamardTriple(n_ratio, ints, found)
         return spectrum_truncation(triple, args.level).points
-    if spec.startswith("dj:"):
-        return dj_example_spectrum(int(spec.split(":")[1]))
-    if spec.startswith("greedy:"):
-        _, bound, count = spec.split(":")
-        return greedy_bizero(args.digits, n_ratio, int(bound), int(count))
-    raise InvalidInput(f"unknown spectrum source {spec!r}")
+    kind, _, fields = spec.partition(":")
+    arity = {"dj": 1, "greedy": 2}.get(kind)
+    if arity is None:
+        raise InvalidInput(f"unknown spectrum source {spec!r}")
+    try:
+        numbers = [int(field) for field in fields.split(":")]
+    except ValueError:
+        numbers = []
+    if len(numbers) != arity:
+        raise InvalidInput(f"malformed spectrum source {spec!r}: use dj:<n> or greedy:<bound>:<count>")
+    if kind == "dj":
+        return dj_example_spectrum(*numbers)
+    return greedy_bizero(args.digits, n_ratio, *numbers)
 
 
 def _require_reciprocal(args) -> int:

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class InvalidInput(ValueError):
@@ -25,7 +25,8 @@ class Unsupported(ValueError):
 
 
 class InternalInconsistency(RuntimeError):
-    """A certificate produced internally failed its own exact verification."""
+    """An exact internal result failed its own check (a certificate that does
+    not verify, a polynomial division that must be exact and was not)."""
 
 
 RationalLike = Union[Fraction, int, str]
@@ -37,11 +38,6 @@ def parse_rational(text: str) -> Fraction:
     if not re.fullmatch(r"-?\d+(/\d+)?", s):
         raise InvalidInput(f"malformed rational: {text!r}")
     return Fraction(s)
-
-
-def format_rational(x: Fraction) -> str:
-    """Render a Fraction as ``p/q``, or plain ``p`` when the denominator is 1."""
-    return str(x)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -97,11 +93,11 @@ class Digit:
 
     def __str__(self) -> str:
         if self.tau_coeff == 0:
-            return format_rational(self.rational)
-        tau = f"{format_rational(self.tau_coeff)}*t"
+            return str(self.rational)
+        tau = f"{self.tau_coeff}*t"
         if self.rational == 0:
             return tau
-        return f"{format_rational(self.rational)} + {tau}"
+        return f"{self.rational} + {tau}"
 
 
 def parse_digit(text: str) -> Digit:
@@ -263,21 +259,43 @@ def val2(n: int) -> tuple[int, int]:
     return t, n >> t
 
 
-def decompose_even(n: int) -> tuple[int, int]:
-    """Write n = 2**beta * m with m odd; n must be >= 2."""
-    if n < 2:
-        raise InvalidInput(f"decompose_even needs n >= 2, got {n}")
-    beta, m = val2(n)
-    return beta, m
+class FourDigitShape(NamedTuple):
+    """The structure of a four-digit integer set {0, a, b, c} with a < c odd
+    and b even: b = 2**t1 * ell1 and c - a = 2**t2 * ell2, ell1 and ell2 odd."""
+
+    a: int
+    b: int
+    c: int
+    t1: int
+    ell1: int
+    t2: int
+    ell2: int
+
+
+def four_digit_shape(integers: Sequence[int]) -> FourDigitShape | None:
+    """Shape of the integer digits {0, x, y, z}; None unless exactly two of
+    x, y, z are odd (the only four-digit sets whose mask vanishes)."""
+    if len(integers) != 4:
+        raise InvalidInput(f"four_digit_shape needs four digits, got {tuple(integers)}")
+    rest = integers[1:]
+    odds = [d for d in rest if d % 2]
+    if len(odds) != 2:
+        return None
+    a, c = min(odds), max(odds)
+    b = next(d for d in rest if d % 2 == 0)
+    return FourDigitShape(a, b, c, *val2(b), *val2(c - a))
 
 
 def _integer_nth_root(n: int, k: int) -> int | None:
     """The exact k-th root of n >= 1, or None if n is not a perfect power."""
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 1 and c**k == n:
-            return c
-    return None
+    # Integer Newton iteration from 2**ceil(bits/k) >= the root; it decreases
+    # strictly until it reaches floor(n ** (1/k)).
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 @dataclass(frozen=True)
@@ -297,19 +315,19 @@ class ContractionRatio:
             raise InvalidInput(f"ratio base must lie in (0, 1): {self.base}")
         if self.root_degree < 1:
             raise InvalidInput("root degree must be >= 1")
+        # If base**(1/d) were again a perfect e-th power with e | r/d, base
+        # would be a perfect (d*e)-th power; so the largest d that works leaves
+        # nothing to reduce.  A denominator >= 2 that is a d-th power has more
+        # than d bits.
         base, r = self.base, self.root_degree
-        changed = True
-        while changed and r > 1:
-            changed = False
-            for d in range(r, 1, -1):
-                if r % d:
-                    continue
-                num = _integer_nth_root(base.numerator, d)
-                den = _integer_nth_root(base.denominator, d)
-                if num is not None and den is not None:
-                    base, r = Fraction(num, den), r // d
-                    changed = True
-                    break
+        for d in range(min(r, base.denominator.bit_length()), 1, -1):
+            if r % d:
+                continue
+            num = _integer_nth_root(base.numerator, d)
+            den = _integer_nth_root(base.denominator, d)
+            if num is not None and den is not None:
+                base, r = Fraction(num, den), r // d
+                break
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "root_degree", r)
 
@@ -335,8 +353,8 @@ class ContractionRatio:
 
     def __str__(self) -> str:
         if self.root_degree == 1:
-            return format_rational(self.base)
-        return f"({format_rational(self.base)})^(1/{self.root_degree})"
+            return str(self.base)
+        return f"({self.base})^(1/{self.root_degree})"
 
 
 @dataclass(frozen=True)
@@ -366,4 +384,4 @@ class WeightVector:
         return len(set(self.weights)) == 1
 
     def display(self) -> tuple[str, ...]:
-        return tuple(format_rational(w) for w in self.weights)
+        return tuple(str(w) for w in self.weights)

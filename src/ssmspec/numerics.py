@@ -74,25 +74,27 @@ class MuHatEvaluator:
         The factor count is chosen from the largest |xi| in the call, so a
         fixed grid always reproduces identical bytes.  ``extra_terms`` adds
         factors on top of the certified count (used by self-consistency
-        tests); accuracy only improves with it.
+        tests); accuracy only improves with it.  Non-finite arguments, and
+        arguments so large that N**K leaves the float range, are refused.
         """
         arr = np.asarray(xi, dtype=float)
         scalar = arr.ndim == 0
         flat = np.atleast_1d(arr).astype(float)
+        if not np.isfinite(flat).all():
+            raise InvalidInput("mu_hat needs finite arguments")
         kmax = self.terms_needed(float(np.max(np.abs(flat))) if flat.size else 0.0)
         kmax += max(0, extra_terms)
-        out = np.ones(flat.shape, dtype=complex)
         scale = float(self.n_ratio)
+        try:
+            scale**kmax  # the largest divisor of xi in the product below
+        except OverflowError:
+            raise InvalidInput(f"|xi| too large: N**{kmax} overflows a float") from None
+        out = np.ones(flat.shape, dtype=complex)
         for k in range(1, kmax + 1):
             out *= float_mask(self.digits, flat / scale**k)
         if scalar:
             return complex(out[0])
         return out.reshape(arr.shape)
-
-
-def mu_hat(ev: MuHatEvaluator, xi, extra_terms: int = 0):
-    """Function form of :meth:`MuHatEvaluator.mu_hat`."""
-    return ev.mu_hat(xi, extra_terms)
 
 
 @dataclass(frozen=True)

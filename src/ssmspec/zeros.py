@@ -25,12 +25,13 @@ import numpy as np
 
 from .exact import (
     DigitSet,
+    InternalInconsistency,
     InvalidInput,
     IrreducibleWitness,
     NormalizedDigits,
     Unsupported,
     as_digit,
-    format_rational,
+    four_digit_shape,
     normalize_digits,
 )
 
@@ -52,10 +53,6 @@ def _divisors(q: int) -> list[int]:
     return small + large[::-1]
 
 
-class InternalError(RuntimeError):
-    pass
-
-
 def _poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
     """Divide integer polynomials (coefficients low to high), asserting that
     the division is exact.  The divisor must be monic."""
@@ -70,7 +67,7 @@ def _poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
         for j, dj in enumerate(den):
             num[i - dd + j] -= c * dj
     if any(num):
-        raise InternalError("non-exact polynomial division")
+        raise InternalInconsistency("non-exact polynomial division")
     return out
 
 
@@ -125,7 +122,7 @@ def _power_table(q: int) -> np.ndarray:
     rows = _power_rows(q)
     peak = max((abs(c) for row in rows for c in row), default=0)
     if peak >= _COEFF_BOUND:
-        raise InternalError(f"power-table coefficients too large for q={q}")
+        raise InternalInconsistency(f"power-table coefficients too large for q={q}")
     return np.array(rows, dtype=np.int64)
 
 
@@ -150,7 +147,7 @@ def _digit_ints(digits: Union[NormalizedDigits, Iterable]) -> tuple[int, ...]:
     return tuple(int(d) for d in values)
 
 
-def mask_value(digits: Iterable[int], xi: Fraction) -> CyclotomicValue:
+def mask_value(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> CyclotomicValue:
     """Exact value of sum(exp(-2*pi*i*d*xi)) over integer digits d.
 
     This is #D times the mask function; it is zero exactly when the mask is.
@@ -172,11 +169,6 @@ def mask_value(digits: Iterable[int], xi: Fraction) -> CyclotomicValue:
     for e in exps:
         coeffs[e] += 1
     return CyclotomicValue(q, tuple(_poly_mod(coeffs, phi)))
-
-
-def mask_eval_exact(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> CyclotomicValue:
-    """Exact mask evaluation at a rational point (scaled by the digit count)."""
-    return mask_value(_digit_ints(digits), xi)
 
 
 def mask_zero_batch(digits: Iterable[int], q: int, numerators: np.ndarray) -> np.ndarray:
@@ -266,16 +258,16 @@ class ScaledResidues:
 
     def to_json(self) -> dict:
         return {
-            "scale": format_rational(self.scale),
+            "scale": str(self.scale),
             "modulus": self.modulus,
             "residues": sorted(self.residues),
         }
 
     def __str__(self) -> str:
         if self.modulus == 2 and self.residues == frozenset({1}):
-            return f"{format_rational(self.scale)}*odd"
+            return f"{self.scale}*odd"
         rs = ",".join(str(r) for r in sorted(self.residues))
-        return f"{format_rational(self.scale)}*(n % {self.modulus} in {{{rs}}})"
+        return f"{self.scale}*(n % {self.modulus} in {{{rs}}})"
 
 
 def odd_multiples(scale: Fraction) -> ScaledResidues:
@@ -342,26 +334,17 @@ def zero_set(digits: NormalizedDigits) -> ZeroSet:
             return ZeroSet(())
         return ZeroSet.of([ScaledResidues(Fraction(1, 3), 3, frozenset({1, 2}))])
 
-    _, x, y, z = ints
-    odds = [d for d in (x, y, z) if d % 2]
-    if len(odds) != 2:
+    shape = four_digit_shape(ints)
+    if shape is None:
         return ZeroSet(())
-    a, c = min(odds), max(odds)
-    b = next(d for d in (x, y, z) if d % 2 == 0)
-    t1 = (b & -b).bit_length() - 1
-    t2 = ((c - a) & -(c - a)).bit_length() - 1
+    a, b, c, t1, ell1, t2, ell2 = shape
     p1 = math.gcd(a, abs(c - b))
     p2 = math.gcd(c, abs(b - a))
     parts = [odd_multiples(Fraction(1, 2 * p1)), odd_multiples(Fraction(1, 2 * p2))]
     if t1 == t2:
-        p3 = math.gcd(b >> t1, (c - a) >> t2)
+        p3 = math.gcd(ell1, ell2)
         parts.append(odd_multiples(Fraction(1, (1 << (1 + t1)) * p3)))
     return ZeroSet.of(parts)
-
-
-def zero_set_member(zs: ZeroSet, xi: Fraction) -> bool:
-    """Exact membership of a rational point in a symbolic zero set."""
-    return zs.member(Fraction(xi))
 
 
 def zero_set_member_batch(zs: ZeroSet, q: int, numerators: np.ndarray) -> np.ndarray:

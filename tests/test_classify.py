@@ -96,6 +96,10 @@ def test_root_rho_rejected_for_rational_digits():
     # perfect power degenerates to a rational and classifies normally
     v = classify(ContractionRatio.root(1, 16, 2), (0, 2))
     assert v.outcome is Outcome.SPECTRAL
+    # ... also past the float range
+    v = classify(ContractionRatio(F(1, 9**60), 2), (0, 1, 2))
+    assert (v.outcome, v.reason) == (Outcome.SPECTRAL, Reason.OK)
+    assert v.to_json() == classify(F(1, 3**60), (0, 1, 2)).to_json()
 
 
 def test_unsupported_cardinality():

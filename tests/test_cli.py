@@ -151,6 +151,14 @@ def test_qdump_greedy_source_on_nonspectral_input(capsys):
     assert min(values) < 0.9  # non-spectral symptom: Q visibly below 1 somewhere
 
 
+@pytest.mark.parametrize("spectrum", ["greedy:x", "greedy:5", "dj:x", "bogus"])
+def test_malformed_spectrum_exits_2(capsys, spectrum):
+    code, out, err = run(
+        capsys, "qdump", "--rho", "1/4", "--digits", "0,2", "--spectrum", spectrum
+    )
+    assert code == 2 and out == "" and "spectrum source" in err
+
+
 def test_qdump_triple_absent_reports_error(capsys):
     code, _, err = run(capsys, "qdump", "--rho", "1/4", "--digits", "0,1,8,9")
     assert code == 2 and "greedy" in err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,6 @@ from ssmspec.exact import (
     NormalizedDigits,
     Unsupported,
     WeightVector,
-    decompose_even,
     normalize_digits,
     parse_digit,
     parse_rational,
@@ -83,7 +83,9 @@ def test_digitset_validation():
         DigitSet.of([0, F(-1, 2)])
 
 
-@pytest.mark.parametrize("n,expected", [(8, (3, 1)), (12, (2, 3)), (7, (0, 7)), (1, (0, 1))])
+@pytest.mark.parametrize(
+    "n,expected", [(8, (3, 1)), (12, (2, 3)), (7, (0, 7)), (1, (0, 1)), (4, (2, 1)), (9, (0, 9))]
+)
 def test_val2(n, expected):
     assert val2(n) == expected
 
@@ -97,11 +99,6 @@ def test_val2_reconstruction_and_errors():
         val2(0)
 
 
-@pytest.mark.parametrize("n,expected", [(4, (2, 1)), (12, (2, 3)), (9, (0, 9))])
-def test_decompose_even(n, expected):
-    assert decompose_even(n) == expected
-
-
 def test_contraction_ratio_canonicalization():
     assert ContractionRatio.root(1, 4, 2) == ContractionRatio.rational(F(1, 2))
     assert ContractionRatio.root(1, 8, 3) == ContractionRatio.rational(F(1, 2))
@@ -109,6 +106,23 @@ def test_contraction_ratio_canonicalization():
     half_root = ContractionRatio.root(1, 2, 2)
     assert half_root.root_degree == 2 and not half_root.is_rational
     assert ContractionRatio.root(1, 16, 4) == ContractionRatio.rational(F(1, 2))
+    assert ContractionRatio.root(1, 2**12, 6) == ContractionRatio.rational(F(1, 4))
+    assert ContractionRatio.root(1, 4, 6) == ContractionRatio.root(1, 2, 3)
+
+
+def test_contraction_ratio_roots_beyond_float_range():
+    assert ContractionRatio(F(1, 9**60), 2) == ContractionRatio.rational(F(1, 3**60))
+    assert ContractionRatio(F(1, 10**400), 2) == ContractionRatio.rational(F(1, 10**200))
+    rng = random.Random(5)
+    for _ in range(200):
+        k = rng.randint(2, 7)
+        x = rng.randint(2, 10**rng.randint(1, 400 // k))
+        y = rng.randint(1, x - 1)
+        while math.gcd(x, y) != 1:
+            y -= 1
+        assert ContractionRatio(F(y**k, x**k), k) == ContractionRatio.rational(F(y, x))
+        # x**k - 1 is never a perfect d-th power for d | k, d >= 2
+        assert ContractionRatio(F(1, x**k - 1), k).root_degree == k
 
 
 def test_contraction_ratio_validation_and_reciprocal():

@@ -124,6 +124,14 @@ def test_evaluator_validation():
         MuHatEvaluator(("t",), 4)
 
 
+def test_mu_hat_refuses_what_it_cannot_certify():
+    ev = MuHatEvaluator((0, 2), 4)
+    for xi in (1e300, float("inf"), float("nan"), [0.0, 1e300]):
+        with pytest.raises(InvalidInput):
+            ev.mu_hat(xi)
+    assert np.isfinite(ev.mu_hat(1e200))  # N**K stays in float range here
+
+
 def test_csv_formats():
     ev = MuHatEvaluator((0, 2), 4)
     samples = q_function(ev, [0, 1], [0.0, 1 / 3], level=1)

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 import sympy
 
-from ssmspec.exact import DigitSet, InvalidInput, Unsupported, normalize_digits
+from ssmspec.exact import DigitSet, InvalidInput, Unsupported, four_digit_shape, normalize_digits
 from ssmspec.zeros import (
     ScaledResidues,
     VanishingCase,
     ZeroSet,
     cyclotomic_poly,
-    mask_eval_exact,
     mask_value,
     mask_zero_batch,
     mask_zero_set,
@@ -22,7 +21,6 @@ from ssmspec.zeros import (
     odd_multiples,
     vanishing_case,
     zero_set,
-    zero_set_member,
     zero_set_member_batch,
 )
 
@@ -52,11 +50,11 @@ def test_cyclotomic_against_sympy():
 
 
 def test_mask_eval_examples():
-    assert mask_eval_exact(norm([0, 1, 2, 3]), F(1, 4)).is_zero
-    assert mask_eval_exact((0, 2), F(1, 4)).is_zero
-    v = mask_eval_exact(norm([0, 1, 2, 3]), F(0))
+    assert mask_value(norm([0, 1, 2, 3]), F(1, 4)).is_zero
+    assert mask_value((0, 2), F(1, 4)).is_zero
+    v = mask_value(norm([0, 1, 2, 3]), F(0))
     assert not v.is_zero and v.coefficients == (4,)
-    assert not mask_eval_exact(norm([0, 1, 2, 3]), F(1, 3)).is_zero
+    assert not mask_value(norm([0, 1, 2, 3]), F(1, 3)).is_zero
 
 
 def test_mask_value_on_unreduced_is_exact():
@@ -90,7 +88,7 @@ def test_vanishing_case_iff_mask_zero():
         for q in range(1, 21):
             for p in range(1, 2 * q + 1):
                 xi = F(p, q)
-                assert (vanishing_case(c, xi) is not None) == mask_eval_exact(c, xi).is_zero
+                assert (vanishing_case(c, xi) is not None) == mask_value(c, xi).is_zero
 
 
 # ---------------------------------------------------------------- zero sets
@@ -139,6 +137,20 @@ def test_zero_set_part_counts_match_valuations():
             assert zero_set(nd).is_empty
 
 
+def test_four_digit_shape_matches_zero_sets():
+    for rest in itertools.combinations(range(1, 16), 3):
+        if math.gcd(*rest) != 1:
+            continue
+        shape = four_digit_shape((0, *rest))
+        assert (shape is not None) == (not zero_set(norm([0, *rest])).is_empty), rest
+        if shape is not None:
+            a, _, _, t1, ell1, t2, ell2 = shape
+            assert ell1 % 2 == 1 and ell2 % 2 == 1
+            assert {0, a, 2**t1 * ell1, a + 2**t2 * ell2} == {0, *rest}
+    with pytest.raises(InvalidInput):
+        four_digit_shape((0, 1, 2))
+
+
 def test_zero_set_unsupported():
     from ssmspec.exact import Digit, NormalizedDigits
 
@@ -152,11 +164,11 @@ def test_zero_set_unsupported():
 
 def test_zero_set_member_examples():
     half_odd = ZeroSet.of([odd_multiples(F(1, 2))])
-    assert zero_set_member(half_odd, F(3, 2))
-    assert not zero_set_member(half_odd, F(1))
+    assert half_odd.member(F(3, 2))
+    assert not half_odd.member(F(1))
     both = ZeroSet.of([odd_multiples(F(1, 16)), odd_multiples(F(1, 2))])
-    assert zero_set_member(both, F(5, 16))
-    assert not zero_set_member(both, F(0))
+    assert both.member(F(5, 16))
+    assert not both.member(F(0))
 
 
 def test_mu_zero_member_examples():
@@ -219,8 +231,8 @@ def test_scalar_batch_agreement():
         batch = mask_zero_batch(nd.integers, q, ps)
         for p, expect in zip(ps, batch):
             xi = F(int(p), q)
-            assert mask_eval_exact(nd, xi).is_zero == bool(expect)
-            assert zero_set_member(zs, xi) == bool(expect)
+            assert mask_value(nd, xi).is_zero == bool(expect)
+            assert zs.member(xi) == bool(expect)
 
 
 # ------------------------------------------------------------ serialization
