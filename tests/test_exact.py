@@ -83,9 +83,7 @@ def test_digitset_validation():
         DigitSet.of([0, F(-1, 2)])
 
 
-@pytest.mark.parametrize(
-    "n,expected", [(8, (3, 1)), (12, (2, 3)), (7, (0, 7)), (1, (0, 1)), (4, (2, 1)), (9, (0, 9))]
-)
+@pytest.mark.parametrize("n,expected", [(8, (3, 1)), (12, (2, 3)), (7, (0, 7)), (1, (0, 1))])
 def test_val2(n, expected):
     assert val2(n) == expected
 
@@ -97,6 +95,12 @@ def test_val2_reconstruction_and_errors():
         assert n % (1 << (t + 1)) != 0
     with pytest.raises(InvalidInput):
         val2(0)
+
+
+@pytest.mark.parametrize("n,expected", [(4, (2, 1)), (12, (2, 3)), (9, (0, 9))])
+def test_decompose_even(n, expected):
+    # n = 2**t * odd, the split four_digit_shape takes of b and c - a
+    assert val2(n) == expected
 
 
 def test_contraction_ratio_canonicalization():
