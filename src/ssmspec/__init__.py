@@ -30,6 +30,7 @@ from .zeros import (
     ZeroSet,
     cyclotomic_poly,
     mask_value,
+    mask_vanishes,
     mask_zero_set,
     mu_zero_member,
     vanishing_case,

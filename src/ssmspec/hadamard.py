@@ -3,19 +3,17 @@
 A triple (N, D, L) with #D == #L is Hadamard when the #D x #D matrix
 exp(2*pi*i*d*l/N)/sqrt(#D) is unitary, equivalently when the mask of D
 vanishes at (l - l')/N for every pair of distinct rows.  All checks here are
-exact (cyclotomic); the floating-point unitarity cross-check lives in the
-numerics module.
+exact (`zeros.mask_vanishes_at`); the floating-point unitarity cross-check
+lives in the numerics module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exact import InternalInconsistency, InvalidInput
-from .zeros import mask_value
+from .zeros import mask_vanishes_at
 
 
 def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
@@ -23,20 +21,6 @@ def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     if len(set(out)) != len(out):
         raise InvalidInput(f"elements must be distinct: {out}")
     return out
-
-
-@lru_cache(maxsize=None)
-def _mask_zero_at(digits: tuple[int, ...], num: int, den: int) -> bool:
-    return mask_value(digits, Fraction(num, den)).is_zero
-
-
-@lru_cache(maxsize=None)
-def _check_triple(n_ratio: int, digits: tuple[int, ...], spectrum: tuple[int, ...]) -> bool:
-    for i, l1 in enumerate(spectrum):
-        for l2 in spectrum[i + 1 :]:
-            if not _mask_zero_at(digits, l1 - l2, n_ratio):
-                return False
-    return True
 
 
 def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[int]) -> bool:
@@ -47,12 +31,12 @@ def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[i
     l = _int_tuple(spectrum)
     if len(d) != len(l):
         raise InvalidInput(f"#D = {len(d)} and #L = {len(l)} must agree")
-    return _check_triple(n_ratio, tuple(sorted(d)), tuple(sorted(l)))
+    return all(mask_vanishes_at(d, l1 - l2, n_ratio) for i, l1 in enumerate(l) for l2 in l[i + 1 :])
 
 
 @dataclass(frozen=True)
 class HadamardTriple:
-    """An (N, D, L) triple; verification is exact and cached."""
+    """An (N, D, L) triple; `verify` decides it exactly on every call."""
 
     n_ratio: int
     digits: tuple[int, ...]
@@ -86,7 +70,7 @@ def find_spectrum_set(n_ratio: int, digits: Iterable[int]) -> tuple[int, ...] | 
         return None
     ok = [False] * n_ratio
     for delta in range(1, n_ratio):
-        ok[delta] = _mask_zero_at(d, delta, n_ratio)
+        ok[delta] = mask_vanishes_at(d, delta, n_ratio)
 
     def extend(partial: list[int]) -> tuple[int, ...] | None:
         if len(partial) == k:
@@ -237,7 +221,7 @@ def construct_product_form(dec: StructureDecomposition, n_ratio: int) -> Product
     b_sets = ((0, (1 << dec.r) * dec.ell), (0, (1 << dec.r) * dec.ell_prime))
     l1 = (0, n_ratio // 2)
     for cand in range(1, n_ratio):
-        if not all(_mask_zero_at(bs, cand, n_ratio) for bs in b_sets):
+        if not all(mask_vanishes_at(bs, cand, n_ratio) for bs in b_sets):
             continue
         pf = ProductForm(n_ratio, a_set, b_sets, l1, (0, cand))
         if verify_product_form(pf):

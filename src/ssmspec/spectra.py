@@ -16,6 +16,13 @@ from .hadamard import HadamardTriple
 from .zeros import DigitsLike, mask_zero_set, mu_zero_member
 
 
+# Largest truncation spectrum_truncation builds.  Spectra of two or more points
+# reach the point limit by the level limit; one-point spectra are held to the
+# same depth, since their single point grows like N**level.
+MAX_TRUNCATION_LEVEL = 16
+MAX_TRUNCATION_POINTS = 1 << MAX_TRUNCATION_LEVEL
+
+
 class DegenerateTriple(ValueError):
     """Truncation sums collided; the triple cannot generate a spectrum."""
 
@@ -38,6 +45,12 @@ def spectrum_truncation(triple: HadamardTriple, level: int) -> SpectrumTruncatio
     """Level-n truncation {sum N**j * l_j : l_j in L, j < n} of a triple's spectrum."""
     if level < 0:
         raise InvalidInput("level must be >= 0")
+    k = len(triple.spectrum)
+    if level > MAX_TRUNCATION_LEVEL or k**level > MAX_TRUNCATION_POINTS:
+        raise InvalidInput(
+            f"a level-{level} truncation of {k} points per level exceeds the limit of "
+            f"{MAX_TRUNCATION_POINTS} points and {MAX_TRUNCATION_LEVEL} levels"
+        )
     if not triple.verify():
         raise InvalidInput("not a Hadamard triple; refusing to build a truncation")
     points = [0]

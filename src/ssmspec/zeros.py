@@ -1,15 +1,17 @@
-"""Exact mask evaluation and symbolic zero sets.
+"""Exact mask zero tests and symbolic zero sets.
 
 The mask of a digit set D at a rational point xi = p/q is (up to the 1/#D
-factor) a sum of q-th roots of unity.  Since Z[x]/(Phi_q) embeds the q-th
-cyclotomic integers faithfully, the sum vanishes exactly when its coefficient
-vector reduces to zero modulo the q-th cyclotomic polynomial.  That reduction
-is the tolerance-free zero test used everywhere in the exact layer.
+factor) a sum of q-th roots of unity.  The only minimal vanishing sums of at
+most four roots of unity are rotations of 1 + (-1) and 1 + w + w**2 (Poonen &
+Rubinstein, SIAM J. Discrete Math. 11 (1998); Lam & Leung, J. Algebra 224
+(2000)), so for up to four digits the sum vanishes exactly when its exponents
+split into antipodal pairs {e, e + q/2}, or form one rotated triangle
+{e, e + q/3, e + 2q/3}.  `mask_vanishes` applies that pairing rule for any q.
 
-Independently of it, the zero sets of masks with up to four digits are known
-in closed form as finite unions of scaled residue families (scaled odd
-integers, or scaled non-multiples of 3).  Both routes are kept side by side;
-the test suite checks them against each other over dense rational grids.
+Two independent routes serve as its oracles: the cyclotomic route (the
+coefficient vector reduced modulo Phi_q is zero, `mask_value`, q <= 512) and
+the closed-form zero sets of masks with up to four digits, finite unions of
+scaled residue families.  The test suite checks all three against each other.
 """
 
 from __future__ import annotations
@@ -35,22 +37,12 @@ from .exact import (
     normalize_digits,
 )
 
-# Largest modulus for which power tables are precomputed; beyond this the
-# (rare) scalar path falls back to direct polynomial division.
+# Largest modulus of the cyclotomic route (power tables modulo Phi_q); the
+# pairing rule needs no table and covers every q for up to four digits.
 _TABLE_MAX = 512
 
 # Power-table coefficients must stay well inside int64 for the numpy path.
 _COEFF_BOUND = 1 << 40
-
-
-def _divisors(q: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, math.isqrt(q) + 1):
-        if q % d == 0:
-            small.append(d)
-            if d != q // d:
-                large.append(q // d)
-    return small + large[::-1]
 
 
 def _poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -81,22 +73,10 @@ def cyclotomic_poly(q: int) -> tuple[int, ...]:
         raise InvalidInput("cyclotomic order must be >= 1")
     num = [0] * (q + 1)
     num[0], num[q] = -1, 1
-    for d in _divisors(q)[:-1]:
-        num = _poly_exact_div(num, cyclotomic_poly(d))
+    for d in range(1, q):
+        if q % d == 0:
+            num = _poly_exact_div(num, cyclotomic_poly(d))
     return tuple(num)
-
-
-def _poly_mod(coeffs: list[int], phi: Sequence[int]) -> list[int]:
-    """Remainder of an integer polynomial modulo the monic polynomial phi."""
-    deg = len(phi) - 1
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        coeffs[i] = 0
-        for j in range(deg):
-            coeffs[i - deg + j] -= c * phi[j]
-    return coeffs[:deg]
 
 
 @lru_cache(maxsize=None)
@@ -151,24 +131,65 @@ def mask_value(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> 
     """Exact value of sum(exp(-2*pi*i*d*xi)) over integer digits d.
 
     This is #D times the mask function; it is zero exactly when the mask is.
+    Only denominators q <= 512 are supported (the oracle range of the
+    cyclotomic route); larger q raise Unsupported.
     """
     xi = Fraction(xi)
     p, q = xi.numerator, xi.denominator
-    exps = [(-d * p) % q for d in _digit_ints(digits)]
-    if q <= _TABLE_MAX:
-        rows = _power_rows(q)
-        deg = len(rows[0])
-        acc = [0] * deg
-        for e in exps:
-            row = rows[e]
-            for j in range(deg):
-                acc[j] += row[j]
-        return CyclotomicValue(q, tuple(acc))
-    phi = cyclotomic_poly(q)
-    coeffs = [0] * q
-    for e in exps:
-        coeffs[e] += 1
-    return CyclotomicValue(q, tuple(_poly_mod(coeffs, phi)))
+    if q > _TABLE_MAX:
+        raise Unsupported(f"cyclotomic mask values support denominators up to {_TABLE_MAX}, got {q}")
+    rows = _power_rows(q)
+    acc = [0] * len(rows[0])
+    for d in _digit_ints(digits):
+        for j, c in enumerate(rows[(-d * p) % q]):
+            acc[j] += c
+    return CyclotomicValue(q, tuple(acc))
+
+
+def _antipodal_partner(exps: Sequence[int], q: int) -> int | None:
+    """For two or four exponents mod q: the first j such that exps[0], exps[j]
+    and the remaining two are antipodal pairs {e, e + q/2}; else None."""
+    if q % 2:
+        return None
+    half = q // 2
+    for j in range(1, len(exps)):
+        if (exps[j] - exps[0]) % q == half:
+            rest = exps[1:j] + exps[j + 1 :]
+            if not rest or (rest[1] - rest[0]) % q == half:
+                return j
+    return None
+
+
+def mask_vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
+    """Exact zero test of the mask of integer digits at p/q (q >= 1, any terms).
+
+    Up to four digits: the pairing rule, O(#D**2) integer work for any q.
+    Five or more digits: the cyclotomic route, so q must reduce to <= 512.
+    """
+    if len(ints) > 4:
+        return mask_value(ints, Fraction(p, q)).is_zero
+    exps = [d * p % q for d in ints]
+    if len(exps) == 3:
+        return q % 3 == 0 and sorted((e - exps[0]) % q for e in exps[1:]) == [q // 3, 2 * q // 3]
+    return _antipodal_partner(exps, q) is not None
+
+
+def mask_vanishes(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> bool:
+    """Exact zero test of the mask of integer digits at the rational xi."""
+    xi = Fraction(xi)
+    return mask_vanishes_at(_digit_ints(digits), xi.numerator, xi.denominator)
+
+
+# Batch products at or above this are refused rather than wrapped in int64.
+_INT64_SAFE = 1 << 62
+
+
+def _int64_numerators(numerators: np.ndarray, factor: int) -> np.ndarray:
+    """The numerators as int64, refusing any p with |p| * factor near 2**63."""
+    p = np.asarray(numerators, dtype=np.int64)
+    if max(int(p.max(initial=0)), -int(p.min(initial=0))) * factor >= _INT64_SAFE:
+        raise InvalidInput(f"batch numerators times {factor} would overflow int64")
+    return p
 
 
 def mask_zero_batch(digits: Iterable[int], q: int, numerators: np.ndarray) -> np.ndarray:
@@ -176,8 +197,9 @@ def mask_zero_batch(digits: Iterable[int], q: int, numerators: np.ndarray) -> np
     if q > _TABLE_MAX:
         raise InvalidInput(f"batch mask test supports denominators up to {_TABLE_MAX}")
     table = _power_table(q)
-    d = np.asarray(_digit_ints(digits), dtype=np.int64)
-    p = np.asarray(numerators, dtype=np.int64)
+    ints = _digit_ints(digits)
+    d = np.asarray(ints, dtype=np.int64)
+    p = _int64_numerators(numerators, max(map(abs, ints), default=0))
     exps = (-(p[:, None] * d[None, :])) % q
     vals = table[exps].sum(axis=1)
     return ~vals.any(axis=1)
@@ -196,26 +218,14 @@ class VanishingCase(Enum):
     CASE3 = "Case3"  # d3*xi and (d2-d1)*xi both half-odd
 
 
-def _is_half_odd(x: Fraction) -> bool:
-    return (x - Fraction(1, 2)).denominator == 1
-
-
 def vanishing_case(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> VanishingCase | None:
     """Identify the pairing that makes a four-digit mask vanish at xi, if any."""
     ints = sorted(_digit_ints(digits))
     if len(ints) != 4:
         raise InvalidInput("vanishing_case needs exactly four digits")
     xi = Fraction(xi)
-    d0, d1, d2, d3 = ints  # translation-invariant: anchor on the smallest digit
-    systems = (
-        (VanishingCase.CASE1, d1 - d0, d3 - d2),
-        (VanishingCase.CASE2, d2 - d0, d3 - d1),
-        (VanishingCase.CASE3, d3 - d0, d2 - d1),
-    )
-    for case, anchor, partner in systems:
-        if _is_half_odd(anchor * xi) and _is_half_odd(partner * xi):
-            return case
-    return None
+    partner = _antipodal_partner([d * xi.numerator % xi.denominator for d in ints], xi.denominator)
+    return None if partner is None else list(VanishingCase)[partner - 1]
 
 
 @dataclass(frozen=True)
@@ -247,21 +257,16 @@ class ScaledResidues:
         """Containment test; only decided for equal moduli (enough to merge)."""
         if self.modulus != other.modulus:
             return False
-        s = other.scale / self.scale
-        if s.denominator != 1:
-            return False
-        k = s.numerator
-        return all((k * r) % self.modulus in self.residues for r in other.residues)
+        k = other.scale / self.scale
+        return k.denominator == 1 and all(
+            (k.numerator * r) % self.modulus in self.residues for r in other.residues
+        )
 
     def scaled(self, c: Fraction) -> "ScaledResidues":
         return ScaledResidues(self.scale * c, self.modulus, self.residues)
 
     def to_json(self) -> dict:
-        return {
-            "scale": str(self.scale),
-            "modulus": self.modulus,
-            "residues": sorted(self.residues),
-        }
+        return {"scale": str(self.scale), "modulus": self.modulus, "residues": sorted(self.residues)}
 
     def __str__(self) -> str:
         if self.modulus == 2 and self.residues == frozenset({1}):
@@ -349,32 +354,21 @@ def zero_set(digits: NormalizedDigits) -> ZeroSet:
 
 def zero_set_member_batch(zs: ZeroSet, q: int, numerators: np.ndarray) -> np.ndarray:
     """Vectorized membership of p/q in a zero set for every p in `numerators`."""
-    p = np.asarray(numerators, dtype=np.int64)
+    factor = max((part.scale.denominator for part in zs.parts), default=0)
+    p = _int64_numerators(numerators, factor)
+    if any(q * part.scale.numerator >= _INT64_SAFE for part in zs.parts):
+        raise InvalidInput(f"batch denominator {q} would overflow int64")
     out = np.zeros(p.shape, dtype=bool)
     for part in zs.parts:
         num = p * part.scale.denominator
         den = q * part.scale.numerator
         integral = num % den == 0
         n = np.where(integral, num // den, 0)
-        hit = integral & np.isin(n % part.modulus, sorted(part.residues))
-        out |= hit
+        out |= integral & np.isin(n % part.modulus, sorted(part.residues))
     return out
 
 
 DigitsLike = Union[NormalizedDigits, DigitSet, Iterable]
-
-
-def _normalized_with_scale(digits: DigitsLike) -> tuple[NormalizedDigits, Fraction]:
-    """Canonical form plus the rational scale mapping it back to the input."""
-    if isinstance(digits, NormalizedDigits):
-        return digits, Fraction(1)
-    ds = digits if isinstance(digits, DigitSet) else DigitSet.of([as_digit(d) for d in digits])
-    norm = normalize_digits(ds)
-    if isinstance(norm, IrreducibleWitness):
-        raise InvalidInput(f"digits have an irrational ratio: {norm.to_json()}")
-    if not norm.scale.is_rational:
-        raise InvalidInput("digit scale is irrational; pass the normalized integer digits")
-    return norm, norm.scale.rational
 
 
 def mask_zero_set(digits: DigitsLike) -> ZeroSet:
@@ -383,8 +377,15 @@ def mask_zero_set(digits: DigitsLike) -> ZeroSet:
     The digits are normalized internally; the canonical zero set is rescaled
     by 1/scale, so e.g. {0, 2} yields (1/4)*odd rather than (1/2)*odd.
     """
-    norm, alpha = _normalized_with_scale(digits)
-    return zero_set(norm).scaled(1 / alpha)
+    if isinstance(digits, NormalizedDigits):
+        return zero_set(digits)
+    ds = digits if isinstance(digits, DigitSet) else DigitSet.of([as_digit(d) for d in digits])
+    norm = normalize_digits(ds)
+    if isinstance(norm, IrreducibleWitness):
+        raise InvalidInput(f"digits have an irrational ratio: {norm.to_json()}")
+    if not norm.scale.is_rational:
+        raise InvalidInput("digit scale is irrational; pass the normalized integer digits")
+    return zero_set(norm).scaled(1 / norm.scale.rational)
 
 
 def mu_zero_member(digits: DigitsLike, n_ratio: int, xi: Fraction) -> bool:
@@ -402,11 +403,9 @@ def mu_zero_member(digits: DigitsLike, n_ratio: int, xi: Fraction) -> bool:
         raise InvalidInput("N must be >= 2")
     zs = mask_zero_set(digits)
     for part in zs.parts:
-        s = abs(xi) / (part.scale * n_ratio)
         value = xi / (part.scale * n_ratio)
-        while s >= 1:
+        while abs(value) >= 1:
             if value.denominator == 1 and value.numerator % part.modulus in part.residues:
                 return True
-            s /= n_ratio
             value /= n_ratio
     return False

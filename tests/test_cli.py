@@ -164,6 +164,25 @@ def test_qdump_triple_absent_reports_error(capsys):
     assert code == 2 and "greedy" in err
 
 
+def test_qdump_triple_above_512(capsys):
+    code, out, _ = run(capsys, "qdump", "--spectrum", "triple", "--rho", "1/1020", "--digits", "0,1,2")
+    assert code == 0
+    assert out.startswith("xi,q,level")
+
+
+@pytest.mark.parametrize("command", ["qdump", "gram"])
+@pytest.mark.parametrize("digits,level", [("0,2", "40"), ("0", "1000000")])
+def test_oversized_truncation_exits_2(capsys, monkeypatch, command, digits, level):
+    # the size cap must refuse before any truncation work starts
+    def no_work(self):
+        raise AssertionError("truncation work started")
+
+    monkeypatch.setattr("ssmspec.hadamard.HadamardTriple.verify", no_work)
+    code, out, err = run(capsys, command, "--rho", "1/4", "--digits", digits, "--level", level)
+    assert code == 2 and out == ""
+    assert f"level-{level} truncation" in err and "exceeds the limit" in err
+
+
 def test_gram_dj_spectrum(capsys):
     code, out, _ = run(
         capsys, "gram", "--rho", "1/4", "--digits", "0,1,8,9", "--spectrum", "dj:2"

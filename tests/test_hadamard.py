@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ssmspec.exact import InvalidInput
+from ssmspec.exact import InvalidInput, Unsupported
 from ssmspec.hadamard import (
     ProductForm,
     StructureDecomposition,
@@ -15,6 +15,7 @@ from ssmspec.hadamard import (
     tiles_zn,
     verify_product_form,
 )
+from ssmspec.numerics import unitarity_defect
 from ssmspec.zeros import mask_value
 
 
@@ -74,6 +75,32 @@ def test_find_spectrum_lexicographic_minimality():
                 brute = (0, *combo)
                 break
         assert found == brute
+
+
+@pytest.mark.parametrize(
+    "n,d,expected",
+    [
+        (1018, (0, 1), (0, 509)),
+        (1018, (0, 3), (0, 509)),
+        (1018, (0, 1, 2), None),
+        (1020, (0, 3), (0, 170)),
+        (1020, (0, 1, 2), (0, 340, 680)),
+        (1020, (0, 1, 2, 3), (0, 255, 510, 765)),
+        (1020, (0, 1, 8, 9), None),
+    ],
+)
+def test_find_spectrum_above_512(n, d, expected):
+    found = find_spectrum_set(n, d)
+    assert found == expected
+    if found is not None:
+        assert is_hadamard_triple(n, d, found)
+        assert unitarity_defect(n, d, found) < 1e-9
+
+
+def test_five_digit_triple_above_512_is_unsupported():
+    with pytest.raises(Unsupported):
+        is_hadamard_triple(1021, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
+    assert is_hadamard_triple(5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
 
 
 def dec_0189():

@@ -6,6 +6,7 @@ import pytest
 from ssmspec.exact import InvalidInput
 from ssmspec.hadamard import HadamardTriple
 from ssmspec.spectra import (
+    MAX_TRUNCATION_POINTS,
     dj_example_spectrum,
     greedy_bizero,
     is_bizero_set,
@@ -44,6 +45,16 @@ def test_truncation_nesting():
 def test_truncation_rejects_non_hadamard():
     with pytest.raises(InvalidInput):
         spectrum_truncation(HadamardTriple(4, (0, 2), (0, 2)), 2)
+
+
+def test_truncation_size_cap():
+    assert MAX_TRUNCATION_POINTS == 2**16
+    assert len(spectrum_truncation(HadamardTriple(4, (0, 1, 2, 3), (0, 1, 2, 3)), 8).points) == 2**16
+    point = HadamardTriple(4, (0,), (1,))
+    assert spectrum_truncation(point, 16).points == ((4**16 - 1) // 3,)
+    for triple, level in ((JP, 17), (HadamardTriple(6, (0, 1, 2), (0, 2, 4)), 10**9), (point, 17), (point, 10**9)):
+        with pytest.raises(InvalidInput, match="exceeds the limit"):
+            spectrum_truncation(triple, level)
 
 
 def test_truncations_are_bizero_across_triples():

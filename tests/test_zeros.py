@@ -2,11 +2,16 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_acceptance import _random_gcd1_sets
 
 from ssmspec.exact import DigitSet, InvalidInput, Unsupported, four_digit_shape, normalize_digits
 from ssmspec.zeros import (
@@ -15,6 +20,8 @@ from ssmspec.zeros import (
     ZeroSet,
     cyclotomic_poly,
     mask_value,
+    mask_vanishes,
+    mask_vanishes_at,
     mask_zero_batch,
     mask_zero_set,
     mu_zero_member,
@@ -58,9 +65,96 @@ def test_mask_eval_examples():
 
 
 def test_mask_value_on_unreduced_is_exact():
-    # large denominators take the direct-division path
-    assert mask_value((0, 500), F(1, 1000)).is_zero
-    assert not mask_value((0, 499), F(1, 1000)).is_zero
+    # denominators above 512 are decided by the pairing rule alone
+    assert mask_vanishes((0, 500), F(1, 1000))
+    assert not mask_vanishes((0, 499), F(1, 1000))
+    with pytest.raises(Unsupported):
+        mask_value((0, 500), F(1, 1000))
+
+
+def test_mask_value_refuses_large_denominators():
+    assert mask_value((0, 1), F(1, 512)).order == 512
+    for q in (513, 1000, 30030):
+        with pytest.raises(Unsupported):
+            mask_value((0, 1, 8, 9), F(1, q))
+
+
+# ------------------------------------------------------------ pairing rule
+
+
+@st.composite
+def digits_and_point(draw, min_size=2, max_size=4, max_q=512):
+    """2-4 distinct integer digits and p/q; digits are drawn as residues plus
+    multiples of q, so that congruent digits (repeated exponents) occur."""
+    q = draw(st.one_of(st.integers(1, max_q), st.sampled_from([2, 4, 6, 12, 30, 60, 210, 420, 510])))
+    p = draw(st.integers(-10 * q, 10 * q))
+    size = draw(st.integers(min_size, max_size))
+    residues = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    digits = sorted({r + q * draw(st.integers(-3, 3)) for r in residues})
+    return digits, F(p, q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(digits_and_point())
+def test_pairing_rule_matches_cyclotomic_oracle(case):
+    digits, xi = case
+    assert mask_vanishes(digits, xi) == mask_value(digits, xi).is_zero
+
+
+@settings(max_examples=400, deadline=None)
+@given(digits_and_point(min_size=4, max_q=30030))
+def test_vanishing_case_is_the_pairing_rule(case):
+    digits, xi = case
+    assume(len(digits) == 4)
+    assert (vanishing_case(digits, xi) is not None) == mask_vanishes(digits, xi)
+
+
+def test_pairing_rule_on_unreduced_points():
+    for digits in [(0, 1), (0, 1, 2), (0, 1, 8, 9), (0, 3, 4, 7)]:
+        for q in range(1, 61):
+            for p in range(-q, 2 * q):
+                for k in (1, 2, 3):
+                    assert mask_vanishes_at(digits, k * p, k * q) == mask_vanishes(digits, F(p, q))
+
+
+def _mp_mask_abs(digits, xi):
+    with mpmath.workdps(50):
+        terms = (mpmath.expj(-2 * mpmath.pi * d * xi.numerator / mpmath.mpf(xi.denominator)) for d in digits)
+        return abs(mpmath.fsum(terms))
+
+
+def test_pairing_rule_above_the_cyclotomic_range():
+    q = 30030
+    cases = [((0, 1, 8, 9), False), ((0, 15015), True), ((0, 10010, 20020), True)]
+    for digits, coprime_zero in cases:
+        for p in (1, 17, 29999, -1, 15015, 10010, 3003, 2):
+            xi = F(p, q)
+            size = _mp_mask_abs(digits, xi)
+            assert size < 1e-30 or size > 1e-3
+            assert mask_vanishes(digits, xi) == (size < 1e-30), (digits, p)
+            if math.gcd(p, q) == 1:
+                assert mask_vanishes(digits, xi) == coprime_zero
+    start = time.perf_counter()
+    for _ in range(1000):
+        mask_vanishes((0, 1, 8, 9), F(1, q))
+    assert time.perf_counter() - start < 1.0  # under 1 ms per test
+
+
+def test_three_routes_agree_on_criterion_4_grid():
+    # one period (p in 1..q) of acceptance criterion 4's grid: the symbolic
+    # families, the Phi_q table and the pairing rule agree point by point
+    rng = random.Random(41)
+    corpora = [_random_gcd1_sets(rng, 50, 4, 30), _random_gcd1_sets(rng, 20, 3, 30), [(0, 1)]]
+    for corpus in corpora:
+        for digits in corpus:
+            nd = norm(digits)
+            zs = zero_set(nd)
+            for q in range(1, 201):
+                ps = np.arange(1, q + 1)
+                symbolic = zero_set_member_batch(zs, q, ps)
+                cyclotomic = mask_zero_batch(nd.integers, q, ps)
+                rule = np.array([mask_vanishes_at(nd.integers, p, q) for p in range(1, q + 1)])
+                assert np.array_equal(symbolic, cyclotomic) and np.array_equal(rule, cyclotomic), (digits, q)
 
 
 def test_mask_value_rejects_non_integer_digits():
@@ -194,7 +288,7 @@ def test_mu_zero_member_against_levelwise_masks():
         brute = False
         k = 1
         while abs(xi) / n**k >= floor:
-            brute = brute or mask_value(digits, xi / n**k).is_zero
+            brute = brute or mask_vanishes(digits, xi / n**k)
             k += 1
         assert mu_zero_member(digits, n, xi) == brute, (digits, n, xi)
 
@@ -221,6 +315,23 @@ def test_oracle_equivalence_small():
             lhs = mask_zero_batch(nd.integers, q, ps)
             rhs = zero_set_member_batch(zs, q, ps)
             assert np.array_equal(lhs, rhs), (rest, q)
+
+
+def test_batch_routes_refuse_int64_overflow():
+    nd = norm([0, 1, 2])
+    zs = zero_set(nd)
+    for p in (2**62 + 1, 2**62, -(2**62)):
+        assert mask_value(nd, F(p, 3)).is_zero == zs.member(F(p, 3))
+        with pytest.raises(InvalidInput):
+            mask_zero_batch(nd.integers, 3, np.array([1, p]))
+        with pytest.raises(InvalidInput):
+            zero_set_member_batch(zs, 3, np.array([1, p]))
+    with pytest.raises(InvalidInput):
+        zero_set_member_batch(zs, 2**62, np.array([1]))
+    ps = np.array([2**59 + 1, 2**59 + 3, -(2**59) - 2])
+    expect = [mask_value(nd, F(int(p), 3)).is_zero for p in ps]
+    assert list(mask_zero_batch(nd.integers, 3, ps)) == expect
+    assert list(zero_set_member_batch(zs, 3, ps)) == expect
 
 
 def test_scalar_batch_agreement():
