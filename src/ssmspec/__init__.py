@@ -33,6 +33,7 @@ from .zeros import (
     mask_vanishes,
     mask_zero_set,
     mu_zero_member,
+    mu_zero_test,
     vanishing_case,
     zero_set,
 )

@@ -79,7 +79,7 @@ CITATIONS = {
     "t-divisible": "a common valuation t divisible by beta leaves every orthogonal family incomplete",
     "product-form": "layered Hadamard triples in product form certify spectrality",
     "dirac": "a one-digit system is a Dirac mass; {0} is trivially a spectrum",
-    "five-plus": "masks with five or more digits can vanish only at irrational points; not modeled here",
+    "five-plus": "masks with five or more digits vanish beyond the pairing rule (e.g. {0,1,2,3,4} at 1/5); not modeled here",
     "hu-lau": "Hu-Lau: a Bernoulli-structure zero set carries an infinite orthogonal family iff rho = (odd/even)^(1/r)",
 }
 

@@ -128,9 +128,9 @@ def as_digit(x: Union[Digit, RationalLike]) -> Digit:
 class DigitSet:
     """A digit set {0, d1, ..., d_{m-1}}, 1 <= m <= 4, strictly increasing.
 
-    Five or more digits are rejected with :class:`Unsupported`; masks of such
-    sets can vanish only at irrational points, which the exact layer does not
-    model.
+    Five or more digits are rejected with :class:`Unsupported`: their masks
+    have vanishing sums beyond the pairing rule (the mask of {0, 1, 2, 3, 4}
+    vanishes at 1/5), which the exact layer does not model.
     """
 
     digits: tuple[Digit, ...]

@@ -123,8 +123,15 @@ def q_function(
     return [QSample(float(x), float(q), level) for x, q in zip(grid, totals)]
 
 
+# Largest Gram matrix built: mu_hat holds n*n*#D complex mask terms at once,
+# so 2,048 points and four digits already peak near 0.7 GB.
+MAX_GRAM_POINTS = 1 << 11
+
+
 def gram_matrix(ev: MuHatEvaluator, points: Sequence[Union[int, Fraction]]) -> np.ndarray:
     """Gram matrix G[i, j] = mu_hat(p_i - p_j); the diagonal is exactly 1."""
+    if len(points) > MAX_GRAM_POINTS:
+        raise InvalidInput(f"a Gram matrix of {len(points)} points exceeds the limit of {MAX_GRAM_POINTS} points")
     pts = np.asarray([float(Fraction(p)) for p in points], dtype=float)
     diffs = pts[:, None] - pts[None, :]
     return ev.mu_hat(diffs)

@@ -7,13 +7,14 @@ given (scale a spectrum by 1/alpha to map back to a rescaled digit set).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exact import InvalidInput
 from .hadamard import HadamardTriple
-from .zeros import DigitsLike, mask_zero_set, mu_zero_member
+from .zeros import DigitsLike, mu_zero_test
 
 
 # Largest truncation spectrum_truncation builds.  Spectra of two or more points
@@ -21,6 +22,12 @@ from .zeros import DigitsLike, mask_zero_set, mu_zero_member
 # same depth, since their single point grows like N**level.
 MAX_TRUNCATION_LEVEL = 16
 MAX_TRUNCATION_POINTS = 1 << MAX_TRUNCATION_LEVEL
+
+# Largest greedy growth: the candidate bound (the memo of greedy_bizero holds
+# at most 4*bound + 1 differences) and bound times the point count (it makes
+# at most 2 * bound * count pair tests).
+MAX_GREEDY_BOUND = 1 << 16
+MAX_GREEDY_WORK = 1 << 24
 
 
 class DegenerateTriple(ValueError):
@@ -69,21 +76,38 @@ class BiZeroReport:
     violating_pair: Optional[tuple[Fraction, Fraction]] = None
 
 
+class _PairMemo(dict):
+    """Verdicts of one zero test keyed by integer difference, filled on first
+    lookup; it lives for one call only."""
+
+    def __init__(self, test) -> None:
+        super().__init__()
+        self.test = test
+
+    def __missing__(self, u: int) -> bool:
+        ok = self[u] = self.test(u)
+        return ok
+
+
 def is_bizero_set(
     points: Sequence[Union[int, Fraction]], digits: DigitsLike, n_ratio: int
 ) -> BiZeroReport:
     """Exact check that every nonzero difference of points lies in the
     transform's zero set; the first violating pair (scanned in sorted order)
-    is reported otherwise."""
+    is reported otherwise.  The points are scaled to integers over the lcm of
+    their denominators, and each distinct difference is decided once."""
     pts = sorted(Fraction(p) for p in points)
     if Fraction(0) not in pts:
         raise InvalidInput("a bi-zero set must contain 0")
     if len(set(pts)) != len(pts):
         raise InvalidInput("points must be distinct")
-    for i, low in enumerate(pts):
-        for high in pts[i + 1 :]:
-            if not mu_zero_member(digits, n_ratio, high - low):
-                return BiZeroReport(False, (high, low))
+    den = math.lcm(*(p.denominator for p in pts))
+    memo = _PairMemo(mu_zero_test(digits, n_ratio, den))
+    ints = [p.numerator * (den // p.denominator) for p in pts]
+    for i, low in enumerate(ints):
+        for j in range(i + 1, len(ints)):
+            if not memo[ints[j] - low]:
+                return BiZeroReport(False, (pts[j], pts[i]))
     return BiZeroReport(True)
 
 
@@ -98,16 +122,24 @@ def greedy_bizero(
     """
     if max_count < 1:
         raise InvalidInput("max_count must be >= 1")
-    if mask_zero_set(digits).is_empty:
+    # The scan yields at most 2*bound + 1 points, so a larger count is no limit.
+    count = min(max_count, 2 * max(bound, 0) + 1)
+    if count > MAX_TRUNCATION_POINTS or bound > MAX_GREEDY_BOUND or bound * count > MAX_GREEDY_WORK:
+        raise InvalidInput(
+            f"greedy growth over |xi| <= {bound} to {max_count} points exceeds the limits of "
+            f"{MAX_TRUNCATION_POINTS} points, bound {MAX_GREEDY_BOUND} and bound * count {MAX_GREEDY_WORK}"
+        )
+    test = mu_zero_test(digits, n_ratio)
+    if test.mask_zeros.is_empty:
         raise InvalidInput("empty mask zero set: no orthogonal pair exists")
-    chosen: list[Fraction] = [Fraction(0)]
-    for mag in range(1, bound + 1):
-        for cand in (Fraction(mag), Fraction(-mag)):
-            if len(chosen) >= max_count:
-                return sorted(chosen)
-            if all(mu_zero_member(digits, n_ratio, cand - y) for y in chosen):
-                chosen.append(cand)
-    return sorted(chosen)
+    memo = _PairMemo(test)
+    chosen = [0]
+    for cand in (c for mag in range(1, bound + 1) for c in (mag, -mag)):
+        if len(chosen) >= max_count:
+            break
+        if all(memo[cand - y] for y in chosen):
+            chosen.append(cand)
+    return [Fraction(p) for p in sorted(chosen)]
 
 
 def dj_example_spectrum(n: int) -> list[Fraction]:

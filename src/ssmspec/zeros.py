@@ -388,24 +388,50 @@ def mask_zero_set(digits: DigitsLike) -> ZeroSet:
     return zero_set(norm).scaled(1 / norm.scale.rational)
 
 
+@dataclass(frozen=True)
+class MuZeroTest:
+    """Membership of u/den in the transform's zero set for nonzero integers u;
+    built by `mu_zero_test`."""
+
+    mask_zeros: ZeroSet
+    n_ratio: int
+    den: int
+
+    def __call__(self, u: int) -> bool:
+        if u == 0:
+            raise InvalidInput("0 is never in the zero set")
+        for part in self.mask_zeros.parts:
+            # u/den = scale * N**k * n with scale = a/b means n = u*b / (den*a*N**k),
+            # and n is an integer at level k only if it is one at level k - 1.
+            num, divisor = u * part.scale.denominator, self.den * part.scale.numerator
+            if num % divisor:
+                continue
+            n = num // divisor
+            while n % self.n_ratio == 0:
+                n //= self.n_ratio
+                if n % part.modulus in part.residues:
+                    return True
+        return False
+
+
+def mu_zero_test(digits: DigitsLike, n_ratio: int, den: int = 1) -> MuZeroTest:
+    """The zero test of mu_{1/N, D} at the points u/den, u a nonzero integer.
+
+    The digits are normalized once.  The transform vanishes exactly on the
+    union over k >= 1 of N**k times the mask zeros (Jorgensen & Pedersen,
+    J. Anal. Math. 75 (1998)).
+    """
+    if n_ratio < 2:
+        raise InvalidInput("N must be >= 2")
+    if den < 1:
+        raise InvalidInput("the common denominator must be >= 1")
+    return MuZeroTest(mask_zero_set(digits), n_ratio, den)
+
+
 def mu_zero_member(digits: DigitsLike, n_ratio: int, xi: Fraction) -> bool:
     """Exact membership of xi in the self-similar transform's zero set.
 
-    The measure is mu_{1/N, D} for the digits D as given, whose transform
-    vanishes exactly on the union over k >= 1 of N**k times the mask zeros.
-    Each residue family has a least positive element, so k is bounded by
-    log_N(|xi| / scale) and the scan below terminates.
+    The measure is mu_{1/N, D} for the digits D as given; see `mu_zero_test`.
     """
     xi = Fraction(xi)
-    if xi == 0:
-        raise InvalidInput("0 is never in the zero set")
-    if n_ratio < 2:
-        raise InvalidInput("N must be >= 2")
-    zs = mask_zero_set(digits)
-    for part in zs.parts:
-        value = xi / (part.scale * n_ratio)
-        while abs(value) >= 1:
-            if value.denominator == 1 and value.numerator % part.modulus in part.residues:
-                return True
-            value /= n_ratio
-    return False
+    return mu_zero_test(digits, n_ratio, xi.denominator)(xi.numerator)

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from ssmspec.cli import main
+from ssmspec.zeros import mask_value
 
 
 def run(capsys, *argv):
@@ -181,6 +183,25 @@ def test_oversized_truncation_exits_2(capsys, monkeypatch, command, digits, leve
     code, out, err = run(capsys, command, "--rho", "1/4", "--digits", digits, "--level", level)
     assert code == 2 and out == ""
     assert f"level-{level} truncation" in err and "exceeds the limit" in err
+
+
+def test_oversized_gram_exits_2(capsys, monkeypatch):
+    # the point cap must refuse before any transform value is computed
+    def no_work(self, xi, extra_terms=0):
+        raise AssertionError("Gram work started")
+
+    monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.mu_hat", no_work)
+    code, out, err = run(capsys, "gram", "--rho", "1/4", "--digits", "0,2", "--level", "16")
+    assert code == 2 and out == ""
+    assert "Gram matrix of 65536 points exceeds the limit of 2048 points" in err
+
+
+def test_five_digit_explain_names_fifth_roots(capsys):
+    assert mask_value((0, 1, 2, 3, 4), Fraction(1, 5)).is_zero
+    code, out, err = run(capsys, "classify", "--rho", "1/5", "--digits", "0,1,2,3,4", "--explain")
+    assert code == 2 and json.loads(out)["outcome"] == "Unsupported"
+    assert "vanish beyond the pairing rule (e.g. {0,1,2,3,4} at 1/5)" in err
+    assert "irrational points" not in err + out
 
 
 def test_gram_dj_spectrum(capsys):

@@ -7,6 +7,7 @@ import pytest
 from ssmspec.exact import InvalidInput
 from ssmspec.hadamard import HadamardTriple, is_hadamard_triple
 from ssmspec.numerics import (
+    MAX_GRAM_POINTS,
     MuHatEvaluator,
     float_mask,
     gram_csv,
@@ -100,6 +101,13 @@ def test_gram_identity_and_violations():
     assert np.max(np.abs(g - np.eye(len(pts)))) <= 1e-8
     g2 = gram_matrix(ev, [F(0), F(1, 3)])
     assert abs(g2[0, 1]) > 0.1  # 1/3 is not a zero of the transform
+
+
+def test_gram_point_cap():
+    ev = MuHatEvaluator((0, 2), 4)
+    assert MAX_GRAM_POINTS == 2048
+    with pytest.raises(InvalidInput, match="exceeds the limit of 2048 points"):
+        gram_matrix(ev, range(MAX_GRAM_POINTS + 1))
 
 
 def test_unitarity_matches_exact_checks():

@@ -25,6 +25,7 @@ from ssmspec.zeros import (
     mask_zero_batch,
     mask_zero_set,
     mu_zero_member,
+    mu_zero_test,
     odd_multiples,
     vanishing_case,
     zero_set,
@@ -291,6 +292,20 @@ def test_mu_zero_member_against_levelwise_masks():
             brute = brute or mask_vanishes(digits, xi / n**k)
             k += 1
         assert mu_zero_member(digits, n, xi) == brute, (digits, n, xi)
+
+
+def test_mu_zero_test_takes_points_in_any_terms():
+    test = mu_zero_test((0, 1, 8, 9), 4, 12)
+    for u in range(-100, 101):
+        if u:
+            assert test(u) == mu_zero_member((0, 1, 8, 9), 4, F(u, 12)), u
+    assert mu_zero_test((0, 1, 4), 4).mask_zeros.is_empty
+    with pytest.raises(InvalidInput):
+        test(0)
+    with pytest.raises(InvalidInput):
+        mu_zero_test((0, 2), 1)
+    with pytest.raises(InvalidInput):
+        mu_zero_test((0, 2), 4, 0)
 
 
 def test_mask_zero_set_rescales_to_input_units():
