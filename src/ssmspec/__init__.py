@@ -17,7 +17,9 @@ from .exact import (
     NormalizedDigits,
     Unsupported,
     WeightVector,
+    digit_values,
     four_digit_shape,
+    integer_digits,
     normalize_digits,
     parse_digit,
     parse_rational,

@@ -24,7 +24,6 @@ from .exact import (
     Unsupported,
     WeightVector,
     as_digit,
-    as_fraction,
     four_digit_shape,
     normalize_digits,
     val2,
@@ -80,7 +79,6 @@ CITATIONS = {
     "product-form": "layered Hadamard triples in product form certify spectrality",
     "dirac": "a one-digit system is a Dirac mass; {0} is trivially a spectrum",
     "five-plus": "masks with five or more digits vanish beyond the pairing rule (e.g. {0,1,2,3,4} at 1/5); not modeled here",
-    "hu-lau": "Hu-Lau: a Bernoulli-structure zero set carries an infinite orthogonal family iff rho = (odd/even)^(1/r)",
 }
 
 
@@ -139,9 +137,7 @@ RhoLike = Union[ContractionRatio, Fraction, int, str]
 
 
 def _as_ratio(rho: RhoLike) -> ContractionRatio:
-    if isinstance(rho, ContractionRatio):
-        return rho
-    return ContractionRatio.rational(as_fraction(rho))
+    return rho if isinstance(rho, ContractionRatio) else ContractionRatio.rational(rho)
 
 
 def hu_lau_infinite_bizero(rho: RhoLike) -> bool:
@@ -188,19 +184,18 @@ def classify(
                 None,
             )
 
-    if weights is None:
-        wvec = WeightVector.uniform(dset.cardinality)
-        weight_text = None
-    else:
+    # No weights means uniform weights, which need no vector and no check.
+    wvec = weight_text = None
+    if weights is not None:
         wvec = weights if isinstance(weights, WeightVector) else WeightVector.of(weights)
+        if len(wvec.weights) != dset.cardinality:
+            raise InvalidInput("weight count must match digit count")
         weight_text = wvec.display()
-    if len(wvec.weights) != dset.cardinality:
-        raise InvalidInput("weight count must match digit count")
 
     def verdict(outcome, reason, citations, **kw):
         return Verdict(outcome, reason, citations, rho_text, digit_text, weight_text, **kw)
 
-    if not wvec.is_uniform:
+    if wvec is not None and not wvec.is_uniform:
         return verdict(Outcome.NON_SPECTRAL, Reason.UNEQUAL_WEIGHTS, ("equal-weights",))
 
     norm = normalize_digits(dset)

@@ -22,10 +22,12 @@ from typing import Optional, Sequence
 from .classify import Outcome, Verdict, classify, explain
 from .exact import (
     ContractionRatio,
+    DigitSet,
     InvalidInput,
     Unsupported,
     as_digit,
     four_digit_shape,
+    integer_digits,
     parse_rational,
     val2,
 )
@@ -33,6 +35,7 @@ from .hadamard import HadamardTriple, find_spectrum_set, verify_product_form
 from .numerics import (
     DEFAULT_TOLERANCE,
     MuHatEvaluator,
+    check_q_terms,
     gram_csv,
     gram_matrix,
     q_function,
@@ -55,42 +58,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _rho_arg(text: str) -> ContractionRatio:
-    try:
-        return ContractionRatio.rational(parse_rational(text))
-    except (InvalidInput, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _usage(parse):
+    """An argparse type from an input parser: its InvalidInput (or any other
+    ValueError) becomes a usage error carrying the parser's message."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
+_rho_arg = _usage(lambda text: ContractionRatio.rational(parse_rational(text)))
+_digits_arg = _usage(lambda text: tuple(as_digit(part) for part in text.split(",")))
+_weights_arg = _usage(lambda text: tuple(parse_rational(part) for part in text.split(",")))
+
+
+@_usage
 def _rho_root_arg(text: str) -> ContractionRatio:
-    try:
-        n, m, r = (int(part) for part in text.split(","))
-        return ContractionRatio.root(n, m, r)
-    except (InvalidInput, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"bad root form {text!r}: {exc}")
+    n, m, r = (int(part) for part in text.split(","))
+    return ContractionRatio.root(n, m, r)
 
 
-def _digits_arg(text: str) -> tuple:
-    try:
-        return tuple(as_digit(part) for part in text.split(","))
-    except (InvalidInput, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _weights_arg(text: str) -> tuple:
-    try:
-        return tuple(parse_rational(part) for part in text.split(","))
-    except (InvalidInput, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
+@_usage
 def _grid_arg(text: str) -> Fraction:
-    try:
-        step = parse_rational(text)
-    except InvalidInput as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    step = parse_rational(text)
     if not (0 < step <= 1):
-        raise argparse.ArgumentTypeError("grid step must lie in (0, 1]")
+        raise InvalidInput("grid step must lie in (0, 1]")
     return step
 
 
@@ -196,10 +192,11 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], list[str]]:
     rows = []
     violations = []
     for digits in enumerate_digit_sets(cfg.cardinality, cfg.digit_bound):
+        dset = DigitSet.of(digits)
+        label = ",".join(str(d) for d in digits)
         for n_ratio in range(cfg.n_min, cfg.n_max + 1):
-            verdict = classify(Fraction(1, n_ratio), digits)
+            verdict = classify(Fraction(1, n_ratio), dset)
             cert_ok = _certificate_ok(verdict)
-            label = ",".join(str(d) for d in digits)
             rows.append(
                 {
                     "digits": label,
@@ -241,20 +238,11 @@ def cmd_scan(args) -> int:
 # ----------------------------------------------------------- qdump and gram
 
 
-def _integer_digits(digits) -> tuple[int, ...]:
-    values = []
-    for d in digits:
-        if not d.is_rational or d.rational.denominator != 1:
-            raise InvalidInput("spectrum sources need integer digits")
-        values.append(int(d.rational))
-    return tuple(values)
-
-
 def _spectrum_points(args, n_ratio: int):
     """Resolve the --spectrum source into a point list."""
     spec: str = args.spectrum
     if spec == "triple":
-        ints = _integer_digits(args.digits)
+        ints = integer_digits(args.digits)
         found = find_spectrum_set(n_ratio, ints)
         if found is None:
             raise InvalidInput(
@@ -290,6 +278,7 @@ def cmd_qdump(args) -> int:
     points = _spectrum_points(args, n_ratio)
     ev = MuHatEvaluator(args.digits, n_ratio, _tolerance())
     count = int(1 / args.grid)
+    check_q_terms(ev, count, len(points))
     grid = [float(j * args.grid) for j in range(count)]
     samples = q_function(ev, points, grid, level=args.level)
     _emit(q_samples_csv(samples), args.out)

@@ -10,6 +10,7 @@ compute with one).
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,10 +42,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_fraction(x: RationalLike) -> Fraction:
+    """An exact rational: an integer (numpy integers too), a Fraction or a
+    ``"p/q"`` string.  Floats are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
     if isinstance(x, str):
         return parse_rational(x)
     raise InvalidInput(f"not a rational value: {x!r}")
@@ -100,6 +103,9 @@ class Digit:
         return f"{self.rational} + {tau}"
 
 
+DigitLike = Union[Digit, RationalLike]
+
+
 def parse_digit(text: str) -> Digit:
     """Parse a digit: ``"p/q"``, ``"p/q + r/s*t"``, ``"r/s t"``, ``"t"``, ...
 
@@ -116,12 +122,47 @@ def parse_digit(text: str) -> Digit:
     return Digit(rat, coef)
 
 
-def as_digit(x: Union[Digit, RationalLike]) -> Digit:
+def as_digit(x: DigitLike) -> Digit:
     if isinstance(x, Digit):
         return x
     if isinstance(x, str):
         return parse_digit(x)
     return Digit(as_fraction(x))
+
+
+def _digit_value(x: DigitLike) -> Union[int, Fraction]:
+    if isinstance(x, Digit):
+        if not x.is_rational:
+            raise InvalidInput(f"digit {x} carries the symbolic t, which only classify accepts")
+        x = x.rational
+    v = as_fraction(x)
+    return v.numerator if v.denominator == 1 else v
+
+
+def digit_values(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tuple[Union[int, Fraction], ...]:
+    """The digit rule of every layer that computes with digit values.
+
+    A digit is an exact rational (see `as_fraction`) or a rational `Digit`;
+    integral values come back as ints, plain ints untouched, and the rest as
+    Fractions.  `NormalizedDigits` give their integers.  An empty set,
+    repeated values and digits carrying the symbolic t raise InvalidInput.
+    """
+    if isinstance(values, NormalizedDigits):
+        return values.integers
+    out = tuple(v if type(v) is int else _digit_value(v) for v in values)
+    if not out:
+        raise InvalidInput("digit set is empty")
+    if len(set(out)) != len(out):
+        raise InvalidInput(f"repeated values in {{{', '.join(map(str, out))}}}")
+    return out
+
+
+def integer_digits(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tuple[int, ...]:
+    """`digit_values` where integers are needed: other values raise InvalidInput."""
+    out = digit_values(values)
+    if any(type(v) is not int for v in out):
+        raise InvalidInput(f"integer values required here, got {{{', '.join(map(str, out))}}}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,7 +190,7 @@ class DigitSet:
             raise InvalidInput("0 must be a digit (translate the set first)")
 
     @classmethod
-    def of(cls, values: Iterable[Union[Digit, RationalLike]]) -> "DigitSet":
+    def of(cls, values: Iterable[DigitLike]) -> "DigitSet":
         return cls(tuple(as_digit(v) for v in values))
 
     @property
@@ -370,10 +411,6 @@ class WeightVector:
             raise InvalidInput("weights must be positive")
         if sum(self.weights) != 1:
             raise InvalidInput("weights must sum to 1")
-
-    @classmethod
-    def uniform(cls, m: int) -> "WeightVector":
-        return cls((Fraction(1, m),) * m)
 
     @classmethod
     def of(cls, values: Iterable[RationalLike]) -> "WeightVector":

@@ -12,23 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import InternalInconsistency, InvalidInput
+from .exact import InternalInconsistency, InvalidInput, integer_digits
 from .zeros import mask_vanishes_at
-
-
-def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
-    if len(set(out)) != len(out):
-        raise InvalidInput(f"elements must be distinct: {out}")
-    return out
 
 
 def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[int]) -> bool:
     """Exact decision: does (N, D, L) form a Hadamard triple?"""
     if n_ratio < 2:
         raise InvalidInput("N must be >= 2")
-    d = _int_tuple(digits)
-    l = _int_tuple(spectrum)
+    d = integer_digits(digits)
+    l = integer_digits(spectrum)
     if len(d) != len(l):
         raise InvalidInput(f"#D = {len(d)} and #L = {len(l)} must agree")
     return all(mask_vanishes_at(d, l1 - l2, n_ratio) for i, l1 in enumerate(l) for l2 in l[i + 1 :])
@@ -43,8 +36,8 @@ class HadamardTriple:
     spectrum: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", _int_tuple(self.digits))
-        object.__setattr__(self, "spectrum", _int_tuple(self.spectrum))
+        object.__setattr__(self, "digits", integer_digits(self.digits))
+        object.__setattr__(self, "spectrum", integer_digits(self.spectrum))
         if len(self.digits) != len(self.spectrum):
             raise InvalidInput("digit and spectrum sets must have equal size")
 
@@ -64,7 +57,7 @@ class HadamardTriple:
 def find_spectrum_set(n_ratio: int, digits: Iterable[int]) -> tuple[int, ...] | None:
     """Lexicographically smallest L in {0..N-1} with 0 in L making (N, D, L)
     a Hadamard triple, or None when no such spectrum set exists."""
-    d = tuple(sorted(_int_tuple(digits)))
+    d = tuple(sorted(integer_digits(digits)))
     k = len(d)
     if k > n_ratio:
         return None
@@ -235,7 +228,7 @@ def tiles_zn(c_set: Iterable[int], n_ratio: int) -> tuple[int, ...] | None:
     Backtracking over the candidates that can cover the smallest uncovered
     residue; complements are searched with 0 in B, which loses no generality.
     """
-    c = _int_tuple(c_set)
+    c = integer_digits(c_set)
     if n_ratio < 1 or n_ratio % len(c) != 0:
         return None
     c_mod = sorted(x % n_ratio for x in c)

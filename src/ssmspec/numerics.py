@@ -2,7 +2,7 @@
 
 The transform of mu_{1/N, D} is the infinite product of masks at xi/N**k.
 Truncating after K factors is certified by the elementary bound
-|M(eta) - 1| <= 2*pi*mean(D)*|eta| together with |M| <= 1: once the geometric
+|M(eta) - 1| <= 2*pi*mean(|d|)*|eta| together with |M| <= 1: once the geometric
 tail of those linear bounds is below tolerance/2, the truncated product is
 within tolerance of the true value.  Crude, but provable and cheap (the tail
 decays like N**-k).
@@ -17,25 +17,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exact import Digit, InvalidInput, NormalizedDigits, as_fraction
+from .exact import InvalidInput, digit_values, integer_digits
 
 DEFAULT_TOLERANCE = 1e-10
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _digit_floats(digits) -> tuple[float, ...]:
-    if isinstance(digits, NormalizedDigits):
-        return tuple(float(n) for n in digits.integers)
-    out = []
-    for d in digits:
-        if isinstance(d, Digit):
-            if not d.is_rational:
-                raise InvalidInput("numeric evaluation needs rational digits")
-            out.append(float(d.rational))
-        else:
-            out.append(float(as_fraction(d)))
-    return tuple(out)
 
 
 def float_mask(digits: Sequence[float], eta) -> np.ndarray:
@@ -54,7 +40,7 @@ class MuHatEvaluator:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", _digit_floats(self.digits))
+        object.__setattr__(self, "digits", tuple(float(d) for d in digit_values(self.digits)))
         if self.n_ratio < 2:
             raise InvalidInput("N must be >= 2")
         if not (0.0 < self.tolerance < 1.0):
@@ -62,9 +48,9 @@ class MuHatEvaluator:
 
     def terms_needed(self, max_abs_xi: float) -> int:
         """Smallest K with the tail bound below tolerance/2 at |xi| <= max_abs_xi."""
-        mean_d = sum(self.digits) / len(self.digits)
+        mean_abs = sum(map(abs, self.digits)) / len(self.digits)
         k = 1
-        while _TWO_PI * mean_d * max_abs_xi * self.n_ratio ** (-k) / (self.n_ratio - 1) > self.tolerance / 2:
+        while _TWO_PI * mean_abs * max_abs_xi * self.n_ratio ** (-k) / (self.n_ratio - 1) > self.tolerance / 2:
             k += 1
         return k
 
@@ -97,6 +83,22 @@ class MuHatEvaluator:
         return out.reshape(arr.shape)
 
 
+# Largest Gram matrix built: mu_hat holds n*n*#D complex mask terms at once,
+# so 2,048 points and four digits already peak near 0.7 GB.
+MAX_GRAM_POINTS = 1 << 11
+# Largest Q function, in grid count * points * #D mask terms: that Gram budget.
+MAX_Q_TERMS = 4 * MAX_GRAM_POINTS**2
+
+
+def check_q_terms(ev: MuHatEvaluator, grid_count: int, point_count: int) -> None:
+    """Refuse a Q function of more than MAX_Q_TERMS mask terms, before any is built."""
+    if grid_count * point_count * len(ev.digits) > MAX_Q_TERMS:
+        raise InvalidInput(
+            f"Q over {grid_count} grid points, {point_count} points and {len(ev.digits)} digits "
+            f"exceeds the limit of {MAX_Q_TERMS} mask terms"
+        )
+
+
 @dataclass(frozen=True)
 class QSample:
     xi: float
@@ -115,17 +117,13 @@ def q_function(
     For a bi-zero set Q <= 1 everywhere, with equality everywhere exactly
     when the points grow into a spectrum; values are reported, never asserted.
     """
+    check_q_terms(ev, len(xi_grid), len(points))
     pts = np.asarray([float(Fraction(p)) for p in points], dtype=float)
     grid = np.asarray(xi_grid, dtype=float)
     args = grid[:, None] + pts[None, :]
     vals = np.abs(ev.mu_hat(args)) ** 2
     totals = vals.sum(axis=1)
     return [QSample(float(x), float(q), level) for x, q in zip(grid, totals)]
-
-
-# Largest Gram matrix built: mu_hat holds n*n*#D complex mask terms at once,
-# so 2,048 points and four digits already peak near 0.7 GB.
-MAX_GRAM_POINTS = 1 << 11
 
 
 def gram_matrix(ev: MuHatEvaluator, points: Sequence[Union[int, Fraction]]) -> np.ndarray:
@@ -141,8 +139,8 @@ def unitarity_defect(n_ratio: int, digits: Sequence[int], spectrum: Sequence[int
     """Max-norm deviation from the identity of H*H for the scaled DFT
     submatrix H = exp(2*pi*i*d*l/N)/sqrt(#D); the float twin of the exact
     Hadamard-triple check."""
-    d = np.asarray(digits, dtype=float)
-    l = np.asarray(spectrum, dtype=float)
+    d = np.asarray(integer_digits(digits), dtype=float)
+    l = np.asarray(integer_digits(spectrum), dtype=float)
     if d.size != l.size:
         raise InvalidInput("digit and spectrum sets must have equal size")
     h = np.exp(2j * math.pi * np.outer(d, l) / n_ratio) / math.sqrt(d.size)

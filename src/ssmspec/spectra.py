@@ -40,13 +40,6 @@ class SpectrumTruncation:
     level: int
     points: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "triple": self.base.to_json(),
-            "level": self.level,
-            "points": [str(p) for p in self.points],
-        }
-
 
 def spectrum_truncation(triple: HadamardTriple, level: int) -> SpectrumTruncation:
     """Level-n truncation {sum N**j * l_j : l_j in L, j < n} of a triple's spectrum."""

@@ -32,8 +32,9 @@ from .exact import (
     IrreducibleWitness,
     NormalizedDigits,
     Unsupported,
-    as_digit,
+    digit_values,
     four_digit_shape,
+    integer_digits,
     normalize_digits,
 )
 
@@ -118,15 +119,6 @@ class CyclotomicValue:
         return not any(self.coefficients)
 
 
-def _digit_ints(digits: Union[NormalizedDigits, Iterable]) -> tuple[int, ...]:
-    if isinstance(digits, NormalizedDigits):
-        return digits.integers
-    values = tuple(digits)
-    if any(int(d) != d for d in values):
-        raise InvalidInput(f"integer digits required here, got {values}")
-    return tuple(int(d) for d in values)
-
-
 def mask_value(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> CyclotomicValue:
     """Exact value of sum(exp(-2*pi*i*d*xi)) over integer digits d.
 
@@ -140,7 +132,7 @@ def mask_value(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> 
         raise Unsupported(f"cyclotomic mask values support denominators up to {_TABLE_MAX}, got {q}")
     rows = _power_rows(q)
     acc = [0] * len(rows[0])
-    for d in _digit_ints(digits):
+    for d in integer_digits(digits):
         for j, c in enumerate(rows[(-d * p) % q]):
             acc[j] += c
     return CyclotomicValue(q, tuple(acc))
@@ -177,7 +169,7 @@ def mask_vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
 def mask_vanishes(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> bool:
     """Exact zero test of the mask of integer digits at the rational xi."""
     xi = Fraction(xi)
-    return mask_vanishes_at(_digit_ints(digits), xi.numerator, xi.denominator)
+    return mask_vanishes_at(integer_digits(digits), xi.numerator, xi.denominator)
 
 
 # Batch products at or above this are refused rather than wrapped in int64.
@@ -197,7 +189,7 @@ def mask_zero_batch(digits: Iterable[int], q: int, numerators: np.ndarray) -> np
     if q > _TABLE_MAX:
         raise InvalidInput(f"batch mask test supports denominators up to {_TABLE_MAX}")
     table = _power_table(q)
-    ints = _digit_ints(digits)
+    ints = integer_digits(digits)
     d = np.asarray(ints, dtype=np.int64)
     p = _int64_numerators(numerators, max(map(abs, ints), default=0))
     exps = (-(p[:, None] * d[None, :])) % q
@@ -220,7 +212,7 @@ class VanishingCase(Enum):
 
 def vanishing_case(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> VanishingCase | None:
     """Identify the pairing that makes a four-digit mask vanish at xi, if any."""
-    ints = sorted(_digit_ints(digits))
+    ints = sorted(integer_digits(digits))
     if len(ints) != 4:
         raise InvalidInput("vanishing_case needs exactly four digits")
     xi = Fraction(xi)
@@ -379,7 +371,7 @@ def mask_zero_set(digits: DigitsLike) -> ZeroSet:
     """
     if isinstance(digits, NormalizedDigits):
         return zero_set(digits)
-    ds = digits if isinstance(digits, DigitSet) else DigitSet.of([as_digit(d) for d in digits])
+    ds = digits if isinstance(digits, DigitSet) else DigitSet.of(digit_values(digits))
     norm = normalize_digits(ds)
     if isinstance(norm, IrreducibleWitness):
         raise InvalidInput(f"digits have an irrational ratio: {norm.to_json()}")

@@ -68,6 +68,23 @@ def test_usage_error_exits_64(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["classify", "--rho", "5/4", "--digits", "0,2"], "ratio base must lie in (0, 1)"),
+        (["classify", "--rho-root", "1,2", "--digits", "0,2"], "not enough values"),
+        (["classify", "--rho", "1/4", "--digits", "0,x"], "malformed digit"),
+        (["classify", "--rho", "1/4", "--digits", "0,2", "--weights", "1/2,y"], "malformed rational"),
+        (["qdump", "--rho", "1/4", "--digits", "0,2", "--grid", "2"], "grid step must lie in (0, 1]"),
+    ],
+)
+def test_argument_parse_errors_exit_64(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "digits,expected_scales",
     [("0,1,2,3", ["1/2", "1/4"]), ("0,1,4", []), ("0,1,8,9", ["1/2", "1/16"])],
 )
@@ -194,6 +211,25 @@ def test_oversized_gram_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "gram", "--rho", "1/4", "--digits", "0,2", "--level", "16")
     assert code == 2 and out == ""
     assert "Gram matrix of 65536 points exceeds the limit of 2048 points" in err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--level", "16"], ["--level", "12", "--grid", "1/65536"], ["--grid", "1/1000000000"]]
+)
+def test_oversized_qdump_exits_2(capsys, monkeypatch, extra):
+    # the mask-term cap must refuse before the grid or any transform value is built
+    def no_work(self, xi, extra_terms=0):
+        raise AssertionError("Q work started")
+
+    monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.mu_hat", no_work)
+    code, out, err = run(capsys, "qdump", "--rho", "1/4", "--digits", "0,2", *extra)
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 16777216 mask terms" in err
+
+
+def test_qdump_triple_needs_integer_digits(capsys):
+    code, out, err = run(capsys, "qdump", "--rho", "1/4", "--digits", "0,1/2")
+    assert code == 2 and out == "" and "integer values required" in err
 
 
 def test_five_digit_explain_names_fifth_roots(capsys):

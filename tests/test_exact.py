@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ssmspec.exact import (
@@ -13,6 +14,8 @@ from ssmspec.exact import (
     NormalizedDigits,
     Unsupported,
     WeightVector,
+    digit_values,
+    integer_digits,
     normalize_digits,
     parse_digit,
     parse_rational,
@@ -140,7 +143,7 @@ def test_contraction_ratio_validation_and_reciprocal():
 
 
 def test_weight_vector():
-    assert WeightVector.uniform(4).is_uniform
+    assert WeightVector.of(["1/4"] * 4).is_uniform
     w = WeightVector.of(["1/2", "1/4", "1/4"])
     assert not w.is_uniform
     with pytest.raises(InvalidInput):
@@ -164,3 +167,27 @@ def test_parsing_round_trips():
     assert str(Digit(F(7, 3))) == "7/3"
     with pytest.raises(InvalidInput):
         parse_digit("q")
+
+
+def test_digit_rule_accepts_exact_rationals():
+    assert digit_values((0, 1, 8, 9)) == (0, 1, 8, 9)
+    assert digit_values([F(4, 2), "1/2", Digit(F(3)), -1]) == (2, F(1, 2), 3, -1)
+    assert [type(v) for v in digit_values([F(4, 2), "1/2"])] == [int, F]
+    assert integer_digits(DigitSet.of([0, 1]).digits) == (0, 1)
+    assert [type(v) for v in integer_digits(np.arange(3))] == [int, int, int]
+    assert integer_digits(norm([0, F(1, 4), 2])) == (0, 1, 8)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(), (0, 1, 1), (0, F(2), "2"), (0, 2.0), (0, 2.7), (0, Digit(F(0), F(1))), (0, "t"), (0, None)],
+)
+def test_digit_rule_refusals(values):
+    with pytest.raises(InvalidInput):
+        digit_values(values)
+
+
+def test_integer_digits_refuses_non_integers():
+    for values in ((0, F(5, 2)), (0, "1/2"), (0, Digit(F(3, 2)))):
+        with pytest.raises(InvalidInput, match="integer values required"):
+            integer_digits(values)

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from ssmspec.exact import InvalidInput, Unsupported
+from ssmspec.exact import DigitSet, InvalidInput, Unsupported, parse_digit
 from ssmspec.hadamard import (
+    HadamardTriple,
     ProductForm,
     StructureDecomposition,
     construct_product_form,
@@ -39,6 +40,32 @@ def test_is_hadamard_validation():
         is_hadamard_triple(4, (0, 1), (0, 1, 2))
     with pytest.raises(InvalidInput):
         is_hadamard_triple(4, (0, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_hadamard_triple(4, (0, 2.7), (0, 1)),
+        lambda: is_hadamard_triple(4, (0, 2), (0, 1.0)),
+        lambda: find_spectrum_set(4, (0, F(5, 2))),
+        lambda: HadamardTriple(4, (0, 2), (0, F(3, 2))),
+        lambda: is_hadamard_triple(4, (), ()),
+        lambda: is_hadamard_triple(4, (0, parse_digit("t")), (0, 1)),
+        lambda: tiles_zn((), 4),
+    ],
+    ids=["float-digit", "float-point", "half-digit", "half-point", "empty", "t-digit", "empty-tile"],
+)
+def test_non_integer_or_empty_sets_are_refused(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+def test_digit_objects_answer_like_ints():
+    digits = DigitSet.of([0, 1]).digits
+    for n, l in ((4, (0, 2)), (4, (0, 1)), (2, (0, 1))):
+        assert is_hadamard_triple(n, digits, l) == is_hadamard_triple(n, (0, 1), l)
+    assert find_spectrum_set(4, digits) == find_spectrum_set(4, (0, 1)) == (0, 2)
+    assert HadamardTriple(4, digits, (0, F(2))).digits == (0, 1)
 
 
 def test_hadamard_implies_card_bound():

@@ -8,7 +8,9 @@ from ssmspec.exact import InvalidInput
 from ssmspec.hadamard import HadamardTriple, is_hadamard_triple
 from ssmspec.numerics import (
     MAX_GRAM_POINTS,
+    MAX_Q_TERMS,
     MuHatEvaluator,
+    check_q_terms,
     float_mask,
     gram_csv,
     gram_matrix,
@@ -110,6 +112,31 @@ def test_gram_point_cap():
         gram_matrix(ev, range(MAX_GRAM_POINTS + 1))
 
 
+def test_q_term_cap(monkeypatch):
+    # the cap must refuse before any transform value is computed
+    def no_work(self, xi, extra_terms=0):
+        raise AssertionError("Q work started")
+
+    monkeypatch.setattr(MuHatEvaluator, "mu_hat", no_work)
+    ev = MuHatEvaluator((0, 2), 4)
+    assert MAX_Q_TERMS == 4 * MAX_GRAM_POINTS**2 == 1 << 24
+    check_q_terms(ev, 4096, 2048)  # exactly the budget
+    with pytest.raises(InvalidInput, match="exceeds the limit of 16777216 mask terms"):
+        q_function(ev, range(2049), [j / 4096 for j in range(4096)])
+
+
+@pytest.mark.parametrize("digits,xi", [((-1, 1), 5.7), ((0, -1), 100.1), ((-3, 0, 1, 2), 100.1)])
+def test_tail_bound_covers_negative_digits(digits, xi):
+    # the tail bound needs mean(|d|); mean(d) <= 0 once certified a single factor
+    ev = MuHatEvaluator(digits, 4)
+    assert abs(ev.mu_hat(xi) - mu_hat_reference(digits, 4, xi, 80)) <= ev.tolerance
+
+
+def test_tail_factor_count_is_unchanged_for_non_negative_digits():
+    ev = MuHatEvaluator((0, 1, 8, 9), 4)
+    assert [ev.terms_needed(x) for x in (0.5, 11.0, 1e6)] == [19, 21, 29]
+
+
 def test_unitarity_matches_exact_checks():
     cases = [
         (4, (0, 1), (0, 2)),
@@ -130,6 +157,9 @@ def test_evaluator_validation():
         MuHatEvaluator((0, 2), 4, tolerance=2.0)
     with pytest.raises(InvalidInput):
         MuHatEvaluator(("t",), 4)
+    for digits in ((), (0, 2, 2), (0, 2.5)):
+        with pytest.raises(InvalidInput):
+            MuHatEvaluator(digits, 4)
 
 
 def test_mu_hat_refuses_what_it_cannot_certify():

@@ -163,6 +163,28 @@ def test_mask_value_rejects_non_integer_digits():
         mask_value((0, F(1, 2)), F(1, 4))
 
 
+def test_digit_objects_answer_like_ints():
+    digits = DigitSet.of([0, 1, 8, 9]).digits
+    for xi in (F(1, 2), F(1, 16), F(1, 3), F(3, 32)):
+        assert mask_vanishes(digits, xi) == mask_vanishes((0, 1, 8, 9), xi)
+        assert mask_value(digits, xi) == mask_value((0, 1, 8, 9), xi)
+        assert vanishing_case(digits, xi) == vanishing_case((0, 1, 8, 9), xi)
+    assert mask_vanishes(DigitSet.of([0, 1]).digits, F(1, 2))
+
+
+def test_symbolic_digits_are_refused():
+    t = DigitSet.of([0, "t"]).digits
+    for call in (
+        lambda: mask_vanishes(t, F(1, 2)),
+        lambda: mask_value(t, F(1, 2)),
+        lambda: mask_zero_batch(t, 2, np.array([1])),
+        lambda: mask_zero_set(t),
+        lambda: mu_zero_member(t, 4, F(1, 2)),
+    ):
+        with pytest.raises(InvalidInput, match="symbolic t"):
+            call()
+
+
 # ----------------------------------------------------------- vanishing case
 
 
