@@ -52,10 +52,12 @@ from .hadamard import (
 )
 from .classify import (
     Certificate,
+    DigitFacts,
     Outcome,
     Reason,
     Verdict,
     classify,
+    digit_facts,
     explain,
     hu_lau_infinite_bizero,
 )

@@ -4,7 +4,9 @@
 published criterion, and stops at the first failure.  A surviving input is
 spectral, and the verdict carries a machine-checkable certificate: a Hadamard
 triple for one to three digits, or a structure decomposition plus a verified
-product-form witness for four.
+product-form witness for four.  The pipeline reads the digit set through
+``digit_facts``, which does not depend on rho, so a scan over many ratios
+derives those facts once per digit set.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Optional, Union
 from .exact import (
     ContractionRatio,
     DigitSet,
+    FourDigitShape,
     InternalInconsistency,
     InvalidInput,
     IrreducibleWitness,
@@ -150,22 +153,34 @@ def hu_lau_infinite_bizero(rho: RhoLike) -> bool:
     return ratio.base.denominator % 2 == 0 and ratio.base.numerator % 2 == 1
 
 
-def classify(
-    rho: RhoLike,
-    digits: Union[DigitSet, Iterable],
-    weights: Optional[Union[WeightVector, Iterable]] = None,
-) -> Verdict:
-    """Decide spectrality of the self-similar measure mu_{rho, D, p}.
+@dataclass(frozen=True)
+class DigitFacts:
+    """Everything `classify` reads from a digit set; no part depends on rho.
 
-    Pipeline, in order: (1) weights must be uniform; (2) digits must
-    normalize to integers (digit ratios rational); (3) the mask zero set must
-    be nonempty; (4) rho must be 1/N for an integer N >= 2; then the
-    cardinality-specific criterion decides, emitting an exactly verified
-    certificate on success.
+    ``normalized`` or ``witness`` is set for one to four digits (the other
+    is None); five or more digits keep only their text and count, and
+    classify as Unsupported.  ``has_zeros`` says whether the mask zero set
+    is nonempty, and ``shape`` is the four-digit shape when it is.
     """
-    ratio = _as_ratio(rho)
-    rho_text = str(ratio)
 
+    digit_text: tuple[str, ...]
+    cardinality: int
+    normalized: Optional[NormalizedDigits] = None
+    witness: Optional[IrreducibleWitness] = None
+    has_zeros: bool = False
+    shape: Optional[FourDigitShape] = None
+
+    @property
+    def supported(self) -> bool:
+        return self.cardinality <= 4
+
+
+def digit_facts(digits: Union[DigitFacts, DigitSet, Iterable]) -> DigitFacts:
+    """The rho-independent part of `classify`: the digit text, normalization,
+    zero-set emptiness and four-digit shape.  Build it once to classify one
+    digit set at many ratios; a DigitFacts passes through unchanged."""
+    if isinstance(digits, DigitFacts):
+        return digits
     if isinstance(digits, DigitSet):
         dset = digits
         digit_text = dset.display()
@@ -175,46 +190,71 @@ def classify(
         try:
             dset = DigitSet(tuple(raw))
         except Unsupported:
-            return Verdict(
-                Outcome.UNSUPPORTED,
-                Reason.UNSUPPORTED,
-                ("five-plus",),
-                rho_text,
-                digit_text,
-                None,
-            )
+            return DigitFacts(digit_text, len(raw))
+    norm = normalize_digits(dset)
+    if isinstance(norm, IrreducibleWitness):
+        return DigitFacts(digit_text, dset.cardinality, witness=norm)
+    has_zeros = norm.cardinality > 1 and not zero_set(norm).is_empty
+    shape = four_digit_shape(norm.integers) if has_zeros and norm.cardinality == 4 else None
+    return DigitFacts(digit_text, dset.cardinality, normalized=norm, has_zeros=has_zeros, shape=shape)
+
+
+def classify(
+    rho: RhoLike,
+    digits: Union[DigitFacts, DigitSet, Iterable],
+    weights: Optional[Union[WeightVector, Iterable]] = None,
+) -> Verdict:
+    """Decide spectrality of the self-similar measure mu_{rho, D, p}.
+
+    Pipeline, in order: (1) weights must be uniform; (2) digits must
+    normalize to integers (digit ratios rational); (3) the mask zero set must
+    be nonempty; (4) rho must be 1/N for an integer N >= 2; then the
+    cardinality-specific criterion decides, emitting an exactly verified
+    certificate on success.  The digit steps come from `digit_facts`, so
+    passing a DigitFacts skips them.
+    """
+    return _decide(_as_ratio(rho), digit_facts(digits), weights)
+
+
+def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
+    """The rule in rho: weights, then the verdict from the digit facts and N."""
+    rho_text = str(ratio)
+    if not facts.supported:
+        return Verdict(
+            Outcome.UNSUPPORTED, Reason.UNSUPPORTED, ("five-plus",), rho_text, facts.digit_text, None
+        )
 
     # No weights means uniform weights, which need no vector and no check.
     wvec = weight_text = None
     if weights is not None:
         wvec = weights if isinstance(weights, WeightVector) else WeightVector.of(weights)
-        if len(wvec.weights) != dset.cardinality:
+        if len(wvec.weights) != facts.cardinality:
             raise InvalidInput("weight count must match digit count")
         weight_text = wvec.display()
 
     def verdict(outcome, reason, citations, **kw):
-        return Verdict(outcome, reason, citations, rho_text, digit_text, weight_text, **kw)
+        return Verdict(outcome, reason, citations, rho_text, facts.digit_text, weight_text, **kw)
 
     if wvec is not None and not wvec.is_uniform:
         return verdict(Outcome.NON_SPECTRAL, Reason.UNEQUAL_WEIGHTS, ("equal-weights",))
 
-    norm = normalize_digits(dset)
-    if isinstance(norm, IrreducibleWitness):
-        if dset.cardinality == 4:
+    card = facts.cardinality
+    if facts.witness is not None:
+        if card == 4:
             return verdict(
                 Outcome.NON_SPECTRAL,
                 Reason.IRRATIONAL_DIGITS,
                 ("irrational-digits",),
-                witness=norm,
+                witness=facts.witness,
             )
         return verdict(
             Outcome.NON_SPECTRAL,
             Reason.EMPTY_ZERO_SET,
             ("card3-irrational", "empty-zero-set"),
-            witness=norm,
+            witness=facts.witness,
         )
 
-    card = norm.cardinality
+    norm = facts.normalized
     if card == 1:
         return verdict(
             Outcome.SPECTRAL,
@@ -224,8 +264,7 @@ def classify(
             certificate=Certificate("dirac"),
         )
 
-    zs = zero_set(norm)
-    if zs.is_empty:
+    if not facts.has_zeros:
         cites = ("parity", "empty-zero-set") if card == 4 else ("card3-residues", "empty-zero-set")
         return verdict(Outcome.NON_SPECTRAL, Reason.EMPTY_ZERO_SET, cites, normalized=norm)
 
@@ -260,7 +299,7 @@ def classify(
     # are odd, and the classification runs on the 2-adic valuations.
     if n_ratio % 2:
         return verdict(Outcome.NON_SPECTRAL, Reason.N_ODD, ("card4", "zero-containment"), normalized=norm)
-    shape = four_digit_shape(norm.integers)
+    shape = facts.shape
     if shape.t1 != shape.t2:
         return verdict(Outcome.NON_SPECTRAL, Reason.T_DISTINCT, ("card4", "t-distinct"), normalized=norm)
     beta, m = val2(n_ratio)

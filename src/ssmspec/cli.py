@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .classify import Outcome, Verdict, classify, explain
+from .classify import Outcome, Verdict, classify, digit_facts, explain
 from .exact import (
     ContractionRatio,
     DigitSet,
@@ -188,14 +188,19 @@ def _card4_invariants(verdict: Verdict, n_ratio: int) -> list[str]:
 
 
 def run_scan(cfg: ScanConfig) -> tuple[list[dict], list[str]]:
-    """Classify every (digit set, N) pair in range; returns (rows, violations)."""
+    """Classify every (digit set, N) pair in range; returns (rows, violations).
+
+    The digit facts are derived once per digit set and each ratio is built
+    once, so a row costs only the rule in N and its certificate checks.
+    """
     rows = []
     violations = []
+    ratios = [(n, ContractionRatio.rational(Fraction(1, n))) for n in range(cfg.n_min, cfg.n_max + 1)]
     for digits in enumerate_digit_sets(cfg.cardinality, cfg.digit_bound):
-        dset = DigitSet.of(digits)
+        facts = digit_facts(DigitSet.of(digits))
         label = ",".join(str(d) for d in digits)
-        for n_ratio in range(cfg.n_min, cfg.n_max + 1):
-            verdict = classify(Fraction(1, n_ratio), dset)
+        for n_ratio, ratio in ratios:
+            verdict = classify(ratio, facts)
             cert_ok = _certificate_ok(verdict)
             rows.append(
                 {

@@ -44,6 +44,8 @@ def parse_rational(text: str) -> Fraction:
 def as_fraction(x: RationalLike) -> Fraction:
     """An exact rational: an integer (numpy integers too), a Fraction or a
     ``"p/q"`` string.  Floats are refused."""
+    if type(x) is int:  # the common case, ahead of the slower ABC check below
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, numbers.Integral):

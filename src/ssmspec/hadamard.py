@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exact import InternalInconsistency, InvalidInput, integer_digits
-from .zeros import mask_vanishes_at
+from .zeros import _vanishes_at
 
 
 def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[int]) -> bool:
@@ -24,7 +24,7 @@ def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[i
     l = integer_digits(spectrum)
     if len(d) != len(l):
         raise InvalidInput(f"#D = {len(d)} and #L = {len(l)} must agree")
-    return all(mask_vanishes_at(d, l1 - l2, n_ratio) for i, l1 in enumerate(l) for l2 in l[i + 1 :])
+    return all(_vanishes_at(d, l1 - l2, n_ratio) for i, l1 in enumerate(l) for l2 in l[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def find_spectrum_set(n_ratio: int, digits: Iterable[int]) -> tuple[int, ...] | 
         return None
     ok = [False] * n_ratio
     for delta in range(1, n_ratio):
-        ok[delta] = mask_vanishes_at(d, delta, n_ratio)
+        ok[delta] = _vanishes_at(d, delta, n_ratio)
 
     def extend(partial: list[int]) -> tuple[int, ...] | None:
         if len(partial) == k:
@@ -214,7 +214,7 @@ def construct_product_form(dec: StructureDecomposition, n_ratio: int) -> Product
     b_sets = ((0, (1 << dec.r) * dec.ell), (0, (1 << dec.r) * dec.ell_prime))
     l1 = (0, n_ratio // 2)
     for cand in range(1, n_ratio):
-        if not all(mask_vanishes_at(bs, cand, n_ratio) for bs in b_sets):
+        if not all(_vanishes_at(bs, cand, n_ratio) for bs in b_sets):
             continue
         pf = ProductForm(n_ratio, a_set, b_sets, l1, (0, cand))
         if verify_product_form(pf):

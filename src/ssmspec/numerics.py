@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exact import InvalidInput, digit_values, integer_digits
+from .exact import InvalidInput, as_fraction, digit_values, integer_digits
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -118,7 +118,7 @@ def q_function(
     when the points grow into a spectrum; values are reported, never asserted.
     """
     check_q_terms(ev, len(xi_grid), len(points))
-    pts = np.asarray([float(Fraction(p)) for p in points], dtype=float)
+    pts = np.asarray([float(as_fraction(p)) for p in points], dtype=float)
     grid = np.asarray(xi_grid, dtype=float)
     args = grid[:, None] + pts[None, :]
     vals = np.abs(ev.mu_hat(args)) ** 2
@@ -130,7 +130,7 @@ def gram_matrix(ev: MuHatEvaluator, points: Sequence[Union[int, Fraction]]) -> n
     """Gram matrix G[i, j] = mu_hat(p_i - p_j); the diagonal is exactly 1."""
     if len(points) > MAX_GRAM_POINTS:
         raise InvalidInput(f"a Gram matrix of {len(points)} points exceeds the limit of {MAX_GRAM_POINTS} points")
-    pts = np.asarray([float(Fraction(p)) for p in points], dtype=float)
+    pts = np.asarray([float(as_fraction(p)) for p in points], dtype=float)
     diffs = pts[:, None] - pts[None, :]
     return ev.mu_hat(diffs)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import InvalidInput
+from .exact import InvalidInput, as_fraction
 from .hadamard import HadamardTriple
 from .zeros import DigitsLike, mu_zero_test
 
@@ -89,7 +89,7 @@ def is_bizero_set(
     transform's zero set; the first violating pair (scanned in sorted order)
     is reported otherwise.  The points are scaled to integers over the lcm of
     their denominators, and each distinct difference is decided once."""
-    pts = sorted(Fraction(p) for p in points)
+    pts = sorted(as_fraction(p) for p in points)
     if Fraction(0) not in pts:
         raise InvalidInput("a bi-zero set must contain 0")
     if len(set(pts)) != len(pts):

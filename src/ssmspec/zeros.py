@@ -152,12 +152,18 @@ def _antipodal_partner(exps: Sequence[int], q: int) -> int | None:
     return None
 
 
-def mask_vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
+def mask_vanishes_at(digits: Union[NormalizedDigits, Iterable[int]], p: int, q: int) -> bool:
     """Exact zero test of the mask of integer digits at p/q (q >= 1, any terms).
 
     Up to four digits: the pairing rule, O(#D**2) integer work for any q.
     Five or more digits: the cyclotomic route, so q must reduce to <= 512.
+    Non-integral digits are refused (see `exact.integer_digits`).
     """
+    return _vanishes_at(integer_digits(digits), p, q)
+
+
+def _vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
+    """`mask_vanishes_at` for digits that are already `integer_digits` output."""
     if len(ints) > 4:
         return mask_value(ints, Fraction(p, q)).is_zero
     exps = [d * p % q for d in ints]
@@ -169,7 +175,7 @@ def mask_vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
 def mask_vanishes(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> bool:
     """Exact zero test of the mask of integer digits at the rational xi."""
     xi = Fraction(xi)
-    return mask_vanishes_at(integer_digits(digits), xi.numerator, xi.denominator)
+    return _vanishes_at(integer_digits(digits), xi.numerator, xi.denominator)
 
 
 # Batch products at or above this are refused rather than wrapped in int64.
@@ -305,7 +311,12 @@ class ZeroSet:
         return " u ".join(str(p) for p in self.parts) if self.parts else "empty"
 
 
-@lru_cache(maxsize=None)
+# Zero sets kept by `zero_set`; a scan asks for each digit set's once, so the
+# cache only has to serve repeated library calls.
+ZERO_SET_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ZERO_SET_CACHE_SIZE)
 def zero_set(digits: NormalizedDigits) -> ZeroSet:
     """Symbolic zero set of the mask of a canonical integer digit set.
 

@@ -10,10 +10,11 @@ from ssmspec.classify import (
     Outcome,
     Reason,
     classify,
+    digit_facts,
     explain,
     hu_lau_infinite_bizero,
 )
-from ssmspec.exact import ContractionRatio, InvalidInput, WeightVector
+from ssmspec.exact import ContractionRatio, DigitSet, InvalidInput, WeightVector
 from ssmspec.hadamard import verify_product_form
 from ssmspec.zeros import zero_set
 
@@ -175,3 +176,76 @@ def test_explain_output():
     assert "TDistinct" in explain(v)
     v = classify(F(1, 4), (0, 1, 3, 5, 6))
     assert "Unsupported" in explain(v)
+
+
+# ------------------------------------------------- digit facts and the rule in N
+
+
+def _same_verdict(rho, digits, facts, weights=None):
+    fresh = classify(rho, digits, weights)
+    reused = classify(rho, facts, weights)
+    assert reused.to_json() == fresh.to_json(), (rho, digits, weights)
+    assert explain(reused) == explain(fresh), (rho, digits, weights)
+
+
+def test_digit_facts_reused_over_n_equal_fresh_classify():
+    # One DigitFacts per digit set, reused for every N, against a fresh
+    # classify of the digit tuple at each N.
+    from ssmspec.cli import enumerate_digit_sets
+
+    for card in (2, 3, 4):
+        for digits in enumerate_digit_sets(card, 12):
+            facts = digit_facts(digits)
+            for n in range(2, 33):
+                _same_verdict(F(1, n), digits, facts)
+
+
+@pytest.mark.parametrize(
+    "rho,digits,weights",
+    [
+        (ContractionRatio.root(1, 2, 2), (0, 2), None),
+        (ContractionRatio.root(1, 16, 2), (0, 1, 8, 9), None),
+        (F(2, 5), (0, 1, 2), None),
+        (F(3, 4), (0, 1, 8, 9), None),
+        (F(1, 4), ("0", "1", "t", "1+t"), None),
+        (F(1, 4), ("0", "1", "t"), None),
+        (F(1, 4), ("0", "t"), None),
+        (F(1, 6), ("0", "2t", "4t"), None),
+        (F(1, 4), ("0", "1/2", "4", "9/2"), None),
+        (F(1, 5), (0, 1, 2, 3, 4), None),
+        (F(1, 5), (0, 1, 2, 3, 4), ("1/2", "1/2")),  # weights unread for five digits
+        (F(1, 4), (0,), None),
+        (F(1, 4), (0, 1, 8, 9), ("1/10", "2/10", "3/10", "4/10")),
+        (F(1, 4), (0, 1, 8, 9), ("1/4", "1/4", "1/4", "1/4")),
+        (F(1, 6), (0, 1, 2), WeightVector.of(("1/3", "1/3", "1/3"))),
+        (F(1, 4), (0, 2), ("1/3", "2/3")),
+    ],
+)
+def test_digit_facts_equal_fresh_classify_on_special_inputs(rho, digits, weights):
+    _same_verdict(rho, digits, digit_facts(digits), weights)
+    for n in range(2, 9):
+        _same_verdict(F(1, n), digits, digit_facts(digits), weights)
+
+
+def test_digit_facts_record():
+    facts = digit_facts((0, 1, 8, 9))
+    assert facts.supported and facts.has_zeros and facts.witness is None
+    assert facts.normalized.integers == (0, 1, 8, 9)
+    assert (facts.shape.t1, facts.shape.t2) == (3, 3)
+    assert digit_facts(facts) is facts
+    assert digit_facts(DigitSet.of((0, 1, 8, 9))) == facts
+    assert digit_facts((0, 1, 2, 4)).shape is None and not digit_facts((0, 1, 2, 4)).has_zeros
+    five = digit_facts((0, 1, 2, 3, 4))
+    assert not five.supported and five.normalized is None and five.witness is None
+    assert five.digit_text == ("0", "1", "2", "3", "4")
+    assert digit_facts(("0", "1", "t", "1+t")).witness is not None
+
+
+def test_digit_facts_keep_refusals():
+    facts = digit_facts((0, 2))
+    with pytest.raises(InvalidInput):
+        classify(F(1, 4), facts, ("1/2", "1/4", "1/4"))
+    with pytest.raises(InvalidInput):
+        digit_facts((0, 1, 1))
+    with pytest.raises(InvalidInput):
+        digit_facts((1, 2))

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -273,3 +274,40 @@ def test_tolerance_env_override(capsys, monkeypatch):
         capsys, "qdump", "--rho", "1/4", "--digits", "0,2", "--level", "3", "--grid", "1/8"
     )
     assert code == 2 and "SPECTRAL_SSM_TOL" in err
+
+
+def test_scan_normalizes_each_digit_set_once(monkeypatch):
+    from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
+
+    classify_module = sys.modules["ssmspec.classify"]  # the package binds the function
+    calls = []
+    original = classify_module.normalize_digits
+
+    def counting(dset):
+        calls.append(dset)
+        return original(dset)
+
+    monkeypatch.setattr(classify_module, "normalize_digits", counting)
+    rows, violations = run_scan(ScanConfig(4, 15, 2, 24))
+    assert not violations and len(rows) == 409 * 23
+    assert len(calls) == len(enumerate_digit_sets(4, 15)) == 409
+
+
+def test_scan_zero_set_cache_stays_bounded():
+    from ssmspec.cli import ScanConfig, run_scan
+    from ssmspec.zeros import zero_set
+
+    maxsize = zero_set.cache_info().maxsize
+    assert maxsize is not None
+    rows, violations = run_scan(ScanConfig(4, 30, 2, 3))
+    assert not violations and len({row["digits"] for row in rows}) > maxsize
+    assert zero_set.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("command", ["qdump", "gram"])
+def test_float_spectrum_points_exit_2(capsys, monkeypatch, command):
+    import ssmspec.cli as cli
+
+    monkeypatch.setattr(cli, "_spectrum_points", lambda args, n_ratio: [0, 0.1])
+    code, out, err = run(capsys, command, "--rho", "1/4", "--digits", "0,2")
+    assert code == 2 and out == "" and "not a rational value: 0.1" in err

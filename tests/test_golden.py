@@ -25,6 +25,14 @@ CASES = {
         [*SCAN, "4", "--digit-bound", "15", "--n-max", "24"],
         "e665aec6e54703f71ed5ccfcf5594f638de4acded1b1ddaa15e61200d4565ca6",
     ),
+    "scan-card4-n64": (
+        [*SCAN, "4", "--digit-bound", "15", "--n-max", "64"],
+        "1284ab8ddf84069d2cbe46826b9e6bd2edbde4c137b157e45602239026930e3a",
+    ),
+    "scan-card3-json": (
+        [*SCAN, "3", "--digit-bound", "9", "--n-max", "12", "--format", "json"],
+        "e76b929e495d129df93f9ee4980e4607a8b48bd17cedefded52a52c04f4dffa4",
+    ),
     "classify-dj": (
         ["classify", "--rho", "1/4", "--digits", "0,1,8,9", "--explain"],
         "6b6bbd7e6aa48cd8c374c24cf06376897c9253973d75973c2f4c76f65ec3bfd1",

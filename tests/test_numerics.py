@@ -183,3 +183,15 @@ def test_csv_formats():
     assert glines[0] == "i,j,re,im"
     assert glines[1] == "0,0,1,0"
     assert len(glines) == 5
+
+
+def test_float_points_are_refused():
+    ev = MuHatEvaluator((0, 2), 4)
+    for points in ([0, 0.1], [0, 1.0]):
+        with pytest.raises(InvalidInput, match="not a rational value"):
+            q_function(ev, points, [0.0, 0.5])
+        with pytest.raises(InvalidInput, match="not a rational value"):
+            gram_matrix(ev, points)
+    # Grid values stay floats.
+    assert [s.xi for s in q_function(ev, [0, F(1, 4)], [0.0, 0.5])] == [0.0, 0.5]
+    np.testing.assert_array_equal(gram_matrix(ev, [0, "1/4"]), gram_matrix(ev, [0, F(1, 4)]))

@@ -250,3 +250,11 @@ def test_huge_greedy_spectrum_exits_2(capsys, spectrum):
     code = main(["qdump", "--rho", "1/4", "--digits", "0,2", "--spectrum", spectrum])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "exceeds the limits" in captured.err
+
+
+def test_is_bizero_set_refuses_float_points():
+    with pytest.raises(InvalidInput, match="not a rational value"):
+        is_bizero_set([0, 0.1], (0, 2), 4)
+    with pytest.raises(InvalidInput):
+        is_bizero_set([0, 1.0], (0, 2), 4)
+    assert is_bizero_set([0, "1/4", F(1, 2)], (0, 1, 8, 9), 4) == is_bizero_set([0, F(1, 4), F(1, 2)], (0, 1, 8, 9), 4)

@@ -402,3 +402,17 @@ def test_scaled_residues_validation():
         ScaledResidues(F(1, 2), 2, frozenset({0}))
     with pytest.raises(InvalidInput):
         ScaledResidues(F(1, 2), 1, frozenset({0}))
+
+
+def test_mask_vanishes_at_refuses_non_integer_digits():
+    # The mask of {0, 5/2} vanishes at 1/5; the integer test must refuse it,
+    # not answer for some other digit set.
+    for digits in [(0, 2.5), (0, F(5, 2)), (0, 1.0)]:
+        with pytest.raises(InvalidInput):
+            mask_vanishes_at(digits, 1, 5)
+    assert mask_vanishes_at(norm([0, F(5, 2)]), 1, 2)
+    assert mask_vanishes_at((0, 5), 1, 10) and mask_vanishes((0, 5), F(1, 10))
+
+
+def test_zero_set_cache_is_bounded():
+    assert zero_set.cache_info().maxsize is not None
