@@ -140,7 +140,6 @@ class ScanConfig:
     digit_bound: int
     n_min: int
     n_max: int
-    output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.cardinality not in (2, 3, 4):
@@ -231,10 +230,9 @@ def _rows_csv(rows: list[dict]) -> str:
 
 
 def cmd_scan(args) -> int:
-    cfg = ScanConfig(args.cardinality, args.digit_bound, args.n_min, args.n_max, args.out)
-    rows, violations = run_scan(cfg)
+    rows, violations = run_scan(ScanConfig(args.cardinality, args.digit_bound, args.n_min, args.n_max))
     text = json.dumps(rows, indent=2) + "\n" if args.format == "json" else _rows_csv(rows)
-    _emit(text, cfg.output_path)
+    _emit(text, args.out)
     for violation in violations:
         print(f"violation: {violation}", file=sys.stderr)
     return EXIT_VIOLATION if violations else EXIT_OK

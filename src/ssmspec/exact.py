@@ -181,8 +181,6 @@ class DigitSet:
     def __post_init__(self) -> None:
         if len(self.digits) == 0:
             raise InvalidInput("digit set is empty")
-        if len(self.digits) > 4:
-            raise Unsupported(f"{len(self.digits)} digits: only 1..4 supported")
         if len(set(self.digits)) != len(self.digits):
             raise InvalidInput("duplicate digits")
         ordered = tuple(sorted(self.digits, key=Digit.sort_key))
@@ -190,6 +188,8 @@ class DigitSet:
             object.__setattr__(self, "digits", ordered)
         if not self.digits[0].is_zero:
             raise InvalidInput("0 must be a digit (translate the set first)")
+        if len(self.digits) > 4:
+            raise Unsupported(f"{len(self.digits)} digits: only 1..4 supported")
 
     @classmethod
     def of(cls, values: Iterable[DigitLike]) -> "DigitSet":

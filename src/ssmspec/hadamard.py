@@ -9,11 +9,15 @@ lives in the numerics module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exact import InternalInconsistency, InvalidInput, integer_digits
 from .zeros import _vanishes_at
+
+# `find_spectrum_set` fills a table of N entries; larger N is refused up front.
+MAX_SEARCH_N = 1 << 16
 
 
 def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[int]) -> bool:
@@ -57,6 +61,8 @@ class HadamardTriple:
 def find_spectrum_set(n_ratio: int, digits: Iterable[int]) -> tuple[int, ...] | None:
     """Lexicographically smallest L in {0..N-1} with 0 in L making (N, D, L)
     a Hadamard triple, or None when no such spectrum set exists."""
+    if n_ratio > MAX_SEARCH_N:
+        raise InvalidInput(f"N = {n_ratio} exceeds the spectrum-set search cap of {MAX_SEARCH_N}")
     d = tuple(sorted(integer_digits(digits)))
     k = len(d)
     if k > n_ratio:
@@ -203,23 +209,21 @@ def construct_product_form(dec: StructureDecomposition, n_ratio: int) -> Product
     """Build and exactly verify the product-form witness for a decomposition.
 
     The blocks follow the one-stage construction: A = {0, a*m**k} with the two
-    B blocks {0, 2**r * ell} and {0, 2**r * ell'}, and L1 = {0, N/2}.  L2 is
-    not trusted from any closed form: candidates {0, l} are searched in
-    increasing l and the first fully verified product form wins.
+    B blocks {0, 2**r * ell} and {0, 2**r * ell'}, L1 = {0, N/2} and
+    L2 = {0, l} for the least l that makes both B blocks Hadamard with it.
     """
     if n_ratio != dec.n_ratio:
         raise InvalidInput(f"N = {n_ratio} does not match the decomposition (expects {dec.n_ratio})")
-    a_lift = dec.a * dec.m**dec.k
-    a_set = (0, a_lift)
     b_sets = ((0, (1 << dec.r) * dec.ell), (0, (1 << dec.r) * dec.ell_prime))
-    l1 = (0, n_ratio // 2)
-    for cand in range(1, n_ratio):
-        if not all(_vanishes_at(bs, cand, n_ratio) for bs in b_sets):
-            continue
-        pf = ProductForm(n_ratio, a_set, b_sets, l1, (0, cand))
-        if verify_product_form(pf):
-            return pf
-    raise InternalInconsistency(f"no verifiable product form for {dec.to_json()} at N={n_ratio}")
+    # (N, {0, 2**r * x}, {0, l}) is Hadamard iff l = 2**(beta-r-1) * (m/gcd(m, x)) * odd,
+    # so `step` (<= N/4) is the least l serving both blocks.  (N, A, L1) holds as
+    # a*m**k is odd, the direct sums cannot collide, and the mask of {0, x, y, x+y}
+    # is the product of the masks of {0, x} and {0, y}, so the sum triple holds.
+    step = math.lcm(*(dec.m // math.gcd(dec.m, x) for x in (dec.ell, dec.ell_prime))) << (dec.beta - dec.r - 1)
+    pf = ProductForm(n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, n_ratio // 2), (0, step))
+    if not verify_product_form(pf):
+        raise InternalInconsistency(f"no verifiable product form for {dec.to_json()} at N={n_ratio}")
+    return pf
 
 
 def tiles_zn(c_set: Iterable[int], n_ratio: int) -> tuple[int, ...] | None:

@@ -249,3 +249,7 @@ def test_digit_facts_keep_refusals():
         digit_facts((0, 1, 1))
     with pytest.raises(InvalidInput):
         digit_facts((1, 2))
+    # a malformed set is invalid whatever its size, not Unsupported
+    for digits in ((0, 1, 1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(InvalidInput):
+            classify(F(1, 4), digits)

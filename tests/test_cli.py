@@ -228,6 +228,19 @@ def test_oversized_qdump_exits_2(capsys, monkeypatch, extra):
     assert "exceeds the limit of 16777216 mask terms" in err
 
 
+@pytest.mark.parametrize("digits", ["0,1,1,2,3", "1,2,3,4,5"])
+def test_malformed_five_digit_set_exits_2(capsys, digits):
+    code, out, err = run(capsys, "classify", "--rho", "1/4", "--digits", digits)
+    assert code == 2 and out == "" and err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("command", ["qdump", "gram"])
+def test_triple_search_above_the_cap_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--rho", "1/40000000", "--digits", "0,1", "--level", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and "search cap of 65536" in err
+
+
 def test_qdump_triple_needs_integer_digits(capsys):
     code, out, err = run(capsys, "qdump", "--rho", "1/4", "--digits", "0,1/2")
     assert code == 2 and out == "" and "integer values required" in err

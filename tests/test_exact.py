@@ -78,6 +78,10 @@ def test_digitset_validation():
         DigitSet.of([1, 2])  # no zero
     with pytest.raises(InvalidInput):
         DigitSet.of([0, 1, 1])
+    with pytest.raises(InvalidInput, match="duplicate"):
+        DigitSet.of([0, 1, 1, 2, 3])  # malformed before it is too large
+    with pytest.raises(InvalidInput, match="0 must be a digit"):
+        DigitSet.of([1, 2, 3, 4, 5])
     with pytest.raises(InvalidInput):
         DigitSet.of([])
     with pytest.raises(Unsupported):

@@ -53,6 +53,22 @@ CASES = {
         ["classify", "--rho", "1/4", "--digits", "0,1,t,1+t"],
         "f0f59a129fb1d708e25beadc7117b9d06e47d38d4642cb2024269250daad0c50",
     ),
+    "classify-0123-n12": (
+        ["classify", "--rho", "1/12", "--digits", "0,1,2,3"],
+        "2bf087012eb188528470920443809a98fdd1b86ad2b9e8538710604ca3530001",
+    ),
+    "classify-k2": (
+        ["classify", "--rho", "1/4", "--digits", "0,1,32,33"],
+        "e2b89ec11ec29f814b744153091f75ba70e178333d8ec28ff4d93268cb1aa561",
+    ),
+    "classify-k1-m3": (
+        ["classify", "--rho", "1/12", "--digits", "0,3,8,11"],
+        "718af061cd1fd67b06a66aa7977380ad9026c75591b1998cfc8e9ca485e2ddbf",
+    ),
+    "classify-large-n": (
+        ["classify", "--rho", "1/4000004", "--digits", "0,1,2,3"],
+        "d7931e287006e14e61de17092373e50633c6e2cccecb5490765b03bfa5934be6",
+    ),
     "zeros-dj": (
         ["zeros", "0,1,8,9"],
         "eb94c3b53529d9f15556264d4363d7127e35244291ab99a7c139651c0986d739",

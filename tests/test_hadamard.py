@@ -3,9 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssmspec.exact import DigitSet, InvalidInput, Unsupported, parse_digit
+from ssmspec.classify import Outcome, classify
+from ssmspec.cli import enumerate_digit_sets
+from ssmspec.exact import DigitSet, InternalInconsistency, InvalidInput, Unsupported, four_digit_shape, parse_digit
 from ssmspec.hadamard import (
+    MAX_SEARCH_N,
     HadamardTriple,
     ProductForm,
     StructureDecomposition,
@@ -17,7 +22,7 @@ from ssmspec.hadamard import (
     verify_product_form,
 )
 from ssmspec.numerics import unitarity_defect
-from ssmspec.zeros import mask_value
+from ssmspec.zeros import _vanishes_at, mask_value
 
 
 @pytest.mark.parametrize(
@@ -124,6 +129,18 @@ def test_find_spectrum_above_512(n, d, expected):
         assert unitarity_defect(n, d, found) < 1e-9
 
 
+def test_find_spectrum_refuses_n_above_the_cap(monkeypatch):
+    assert find_spectrum_set(MAX_SEARCH_N, (0, 1)) == (0, MAX_SEARCH_N // 2)
+
+    def no_work(*args):
+        raise AssertionError("search table built")
+
+    monkeypatch.setattr("ssmspec.hadamard._vanishes_at", no_work)
+    for n in (MAX_SEARCH_N + 1, 40_000_000):
+        with pytest.raises(InvalidInput, match="search cap"):
+            find_spectrum_set(n, (0, 1))
+
+
 def test_five_digit_triple_above_512_is_unsupported():
     with pytest.raises(Unsupported):
         is_hadamard_triple(1021, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
@@ -150,6 +167,62 @@ def test_construct_product_form_0123():
     assert pf.a_set == (0, 1) and pf.b_sets == ((0, 2), (0, 2))
     assert pf.l1 == (0, 2) and pf.l2 == (0, 1)
     assert verify_product_form(pf)
+
+
+def _oracle_product_form(dec, n):
+    """The former L2 search: candidates {0, l} in increasing l, the first
+    fully verified product form wins."""
+    a_set = (0, dec.a * dec.m**dec.k)
+    b_sets = ((0, (1 << dec.r) * dec.ell), (0, (1 << dec.r) * dec.ell_prime))
+    for cand in range(1, n):
+        if not all(_vanishes_at(bs, cand, n) for bs in b_sets):
+            continue
+        pf = ProductForm(n, a_set, b_sets, (0, n // 2), (0, cand))
+        if verify_product_form(pf):
+            return pf
+    raise InternalInconsistency(f"no verifiable product form for {dec.to_json()} at N={n}")
+
+
+# The four-digit sets up to bound 15 that are Spectral at some N: two odd
+# digits a < c and an even b with the valuations of b and c - a equal (t).
+SPECTRAL_SETS = [
+    (d, shape.t1)
+    for d in enumerate_digit_sets(4, 15)
+    if (shape := four_digit_shape(d)) is not None and shape.t1 == shape.t2
+]
+
+
+@st.composite
+def spectral_rows(draw):
+    # Spectral exactly when N = 2**beta * m (m odd) and beta does not divide t.
+    digits, t = draw(st.sampled_from(SPECTRAL_SETS))
+    beta = draw(st.integers(2, 12).filter(lambda b: t % b))
+    m = 2 * draw(st.integers(0, ((4096 >> beta) - 1) // 2)) + 1
+    return digits, (1 << beta) * m
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectral_rows())
+def test_product_form_l2_equals_the_search(row):
+    digits, n = row
+    v = classify(F(1, n), digits)
+    assert v.outcome is Outcome.SPECTRAL
+    cert = v.certificate
+    assert _oracle_product_form(cert.decomposition, n) == cert.product_form
+
+
+def test_product_form_work_does_not_grow_with_n(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _vanishes_at(*args)
+
+    monkeypatch.setattr("ssmspec.hadamard._vanishes_at", counted)
+    v = classify(F(1, 4000004), (0, 1, 2, 3))
+    assert v.certificate.product_form.l2 == (0, 1000001)
+    assert calls < 32  # the verification's pair tests only; the search made 1,000,017
 
 
 def test_product_form_bad_l2_fails():
