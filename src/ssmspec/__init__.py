@@ -52,6 +52,7 @@ from .hadamard import (
 )
 from .classify import (
     Certificate,
+    Dirac,
     DigitFacts,
     Outcome,
     Reason,

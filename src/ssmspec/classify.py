@@ -2,11 +2,12 @@
 
 ``classify`` runs a fixed pipeline of necessary conditions, each backed by a
 published criterion, and stops at the first failure.  A surviving input is
-spectral, and the verdict carries a machine-checkable certificate: a Hadamard
-triple for one to three digits, or a structure decomposition plus a verified
-product-form witness for four.  The pipeline reads the digit set through
-``digit_facts``, which does not depend on rho, so a scan over many ratios
-derives those facts once per digit set.
+spectral, and the verdict carries a machine-checkable certificate: a Dirac
+mass for one digit, a Hadamard triple for two or three, or a verified product
+form (with the structure decomposition it was built from) for four.  Each
+certificate verifies, serializes and describes itself.  The pipeline reads
+the digit set through ``digit_facts``, which does not depend on rho, so a
+scan over many ratios derives those facts once per digit set.
 """
 
 from __future__ import annotations
@@ -86,27 +87,25 @@ CITATIONS = {
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Exactly verifiable spectrality witness attached to Spectral verdicts."""
+class Dirac:
+    """The witness of a one-digit set: a Dirac mass, with spectrum {0}."""
 
-    kind: str  # "product-form" | "hadamard-triple" | "dirac"
-    triple: Optional[HadamardTriple] = None
-    decomposition: Optional[StructureDecomposition] = None
-    product_form: Optional[ProductForm] = None
+    def verify(self) -> bool:
+        return True
 
     def to_json(self) -> dict:
-        if self.kind == "dirac":
-            return {"kind": "dirac", "spectrum": [0], "verified": True}
-        if self.kind == "hadamard-triple":
-            return self.triple.to_json()
-        out = self.product_form.to_json()
-        out["decomposition"] = self.decomposition.to_json()
-        return out
+        return {"kind": "dirac", "spectrum": [0], "verified": self.verify()}
+
+    def describe(self) -> str:
+        return "Dirac mass with trivial spectrum {0}"
+
+
+# The exactly verifiable witness a Spectral verdict carries.
+Certificate = Union[Dirac, HadamardTriple, ProductForm]
 
 
 @dataclass(frozen=True)
 class Verdict:
-    outcome: Outcome
     reason: Reason
     citations: tuple[str, ...]
     rho_text: str
@@ -115,6 +114,14 @@ class Verdict:
     normalized: Optional[NormalizedDigits] = None
     witness: Optional[IrreducibleWitness] = None
     certificate: Optional[Certificate] = None
+
+    @property
+    def outcome(self) -> Outcome:
+        if self.reason is Reason.OK:
+            return Outcome.SPECTRAL
+        if self.reason is Reason.UNSUPPORTED:
+            return Outcome.UNSUPPORTED
+        return Outcome.NON_SPECTRAL
 
     def to_json(self) -> dict:
         out: dict = {
@@ -220,9 +227,7 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
     """The rule in rho: weights, then the verdict from the digit facts and N."""
     rho_text = str(ratio)
     if not facts.supported:
-        return Verdict(
-            Outcome.UNSUPPORTED, Reason.UNSUPPORTED, ("five-plus",), rho_text, facts.digit_text, None
-        )
+        return Verdict(Reason.UNSUPPORTED, ("five-plus",), rho_text, facts.digit_text, None)
 
     # No weights means uniform weights, which need no vector and no check.
     wvec = weight_text = None
@@ -232,50 +237,29 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
             raise InvalidInput("weight count must match digit count")
         weight_text = wvec.display()
 
-    def verdict(outcome, reason, citations, **kw):
-        return Verdict(outcome, reason, citations, rho_text, facts.digit_text, weight_text, **kw)
+    def verdict(reason, citations, **kw):
+        return Verdict(reason, citations, rho_text, facts.digit_text, weight_text, **kw)
 
     if wvec is not None and not wvec.is_uniform:
-        return verdict(Outcome.NON_SPECTRAL, Reason.UNEQUAL_WEIGHTS, ("equal-weights",))
+        return verdict(Reason.UNEQUAL_WEIGHTS, ("equal-weights",))
 
     card = facts.cardinality
     if facts.witness is not None:
         if card == 4:
-            return verdict(
-                Outcome.NON_SPECTRAL,
-                Reason.IRRATIONAL_DIGITS,
-                ("irrational-digits",),
-                witness=facts.witness,
-            )
-        return verdict(
-            Outcome.NON_SPECTRAL,
-            Reason.EMPTY_ZERO_SET,
-            ("card3-irrational", "empty-zero-set"),
-            witness=facts.witness,
-        )
+            return verdict(Reason.IRRATIONAL_DIGITS, ("irrational-digits",), witness=facts.witness)
+        return verdict(Reason.EMPTY_ZERO_SET, ("card3-irrational", "empty-zero-set"), witness=facts.witness)
 
     norm = facts.normalized
     if card == 1:
-        return verdict(
-            Outcome.SPECTRAL,
-            Reason.OK,
-            ("dirac",),
-            normalized=norm,
-            certificate=Certificate("dirac"),
-        )
+        return verdict(Reason.OK, ("dirac",), normalized=norm, certificate=Dirac())
 
     if not facts.has_zeros:
         cites = ("parity", "empty-zero-set") if card == 4 else ("card3-residues", "empty-zero-set")
-        return verdict(Outcome.NON_SPECTRAL, Reason.EMPTY_ZERO_SET, cites, normalized=norm)
+        return verdict(Reason.EMPTY_ZERO_SET, cites, normalized=norm)
 
     n_ratio = ratio.reciprocal_integer()
     if n_ratio is None:
-        return verdict(
-            Outcome.NON_SPECTRAL,
-            Reason.RHO_NOT_RECIPROCAL_INTEGER,
-            ("an-wang",),
-            normalized=norm,
-        )
+        return verdict(Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",), normalized=norm)
 
     if card < 4:
         # Two or three digits with a nonempty zero set: spectral iff card | N,
@@ -283,42 +267,28 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
         rule = "bernoulli" if card == 2 else "card3"
         if n_ratio % card:
             reason = Reason.N_ODD if card == 2 else Reason.CARD3_N_NOT_DIVISIBLE_BY_3
-            return verdict(Outcome.NON_SPECTRAL, reason, (rule, "zero-containment"), normalized=norm)
+            return verdict(reason, (rule, "zero-containment"), normalized=norm)
         triple = HadamardTriple(n_ratio, norm.integers, tuple(j * n_ratio // card for j in range(card)))
         if not triple.verify():
             raise InternalInconsistency(f"{card}-digit certificate failed verification")
-        return verdict(
-            Outcome.SPECTRAL,
-            Reason.OK,
-            (rule,),
-            normalized=norm,
-            certificate=Certificate("hadamard-triple", triple=triple),
-        )
+        return verdict(Reason.OK, (rule,), normalized=norm, certificate=triple)
 
     # Four digits with a nonempty zero set: exactly two of the nonzero digits
     # are odd, and the classification runs on the 2-adic valuations.
     if n_ratio % 2:
-        return verdict(Outcome.NON_SPECTRAL, Reason.N_ODD, ("card4", "zero-containment"), normalized=norm)
+        return verdict(Reason.N_ODD, ("card4", "zero-containment"), normalized=norm)
     shape = facts.shape
     if shape.t1 != shape.t2:
-        return verdict(Outcome.NON_SPECTRAL, Reason.T_DISTINCT, ("card4", "t-distinct"), normalized=norm)
+        return verdict(Reason.T_DISTINCT, ("card4", "t-distinct"), normalized=norm)
     beta, m = val2(n_ratio)
     if shape.t1 % beta == 0:
-        return verdict(
-            Outcome.NON_SPECTRAL, Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"), normalized=norm
-        )
+        return verdict(Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"), normalized=norm)
     k, r = divmod(shape.t1, beta)
     dec = StructureDecomposition(
         a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m, k=k, r=r
     )
     pf = construct_product_form(dec, n_ratio)
-    return verdict(
-        Outcome.SPECTRAL,
-        Reason.OK,
-        ("card4", "product-form"),
-        normalized=norm,
-        certificate=Certificate("product-form", decomposition=dec, product_form=pf),
-    )
+    return verdict(Reason.OK, ("card4", "product-form"), normalized=norm, certificate=pf)
 
 
 def explain(v: Verdict) -> str:
@@ -337,27 +307,6 @@ def explain(v: Verdict) -> str:
     for key in v.citations:
         lines.append(f"  - {CITATIONS[key]}")
     lines.append(f"outcome: {v.outcome.value} ({v.reason.value})")
-    cert = v.certificate
-    if cert is not None:
-        if cert.kind == "dirac":
-            lines.append("certificate: Dirac mass with trivial spectrum {0}")
-        elif cert.kind == "hadamard-triple":
-            t = cert.triple
-            lines.append(
-                f"certificate: Hadamard triple N={t.n_ratio}, D={list(t.digits)}, L={list(t.spectrum)}"
-            )
-        else:
-            d = cert.decomposition
-            pf = cert.product_form
-            lines.append(
-                "certificate: decomposition "
-                f"a={d.a} t={d.t} ell={d.ell} ell'={d.ell_prime} beta={d.beta} m={d.m} k={d.k} r={d.r}"
-            )
-            blocks = "; ".join(
-                f"B[{a}]={list(bs)}" for a, bs in zip(pf.a_set, pf.b_sets)
-            )
-            lines.append(
-                f"  product form: N={pf.n_ratio}, A={list(pf.a_set)}, {blocks}, "
-                f"L1={list(pf.l1)}, L2={list(pf.l2)}"
-            )
+    if v.certificate is not None:
+        lines.append(f"certificate: {v.certificate.describe()}")
     return "\n".join(lines)

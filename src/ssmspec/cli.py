@@ -31,7 +31,7 @@ from .exact import (
     parse_rational,
     val2,
 )
-from .hadamard import HadamardTriple, find_spectrum_set, verify_product_form
+from .hadamard import HadamardTriple, find_spectrum_set
 from .numerics import (
     DEFAULT_TOLERANCE,
     MuHatEvaluator,
@@ -159,17 +159,6 @@ def enumerate_digit_sets(cardinality: int, digit_bound: int) -> list[tuple[int, 
     return out
 
 
-def _certificate_ok(verdict: Verdict) -> Optional[bool]:
-    cert = verdict.certificate
-    if cert is None:
-        return None
-    if cert.kind == "dirac":
-        return True
-    if cert.kind == "hadamard-triple":
-        return cert.triple.verify()
-    return verify_product_form(cert.product_form)
-
-
 def _card4_invariants(verdict: Verdict, n_ratio: int) -> list[str]:
     """Necessity conditions every four-digit Spectral verdict must satisfy."""
     problems = []
@@ -200,7 +189,7 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], list[str]]:
         label = ",".join(str(d) for d in digits)
         for n_ratio, ratio in ratios:
             verdict = classify(ratio, facts)
-            cert_ok = _certificate_ok(verdict)
+            cert_ok = None if verdict.certificate is None else verdict.certificate.verify()
             rows.append(
                 {
                     "digits": label,

@@ -10,7 +10,7 @@ lives in the numerics module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .exact import InternalInconsistency, InvalidInput, integer_digits
@@ -56,6 +56,9 @@ class HadamardTriple:
             "L": list(self.spectrum),
             "verified": self.verify(),
         }
+
+    def describe(self) -> str:
+        return f"Hadamard triple N={self.n_ratio}, D={list(self.digits)}, L={list(self.spectrum)}"
 
 
 def find_spectrum_set(n_ratio: int, digits: Iterable[int]) -> tuple[int, ...] | None:
@@ -133,16 +136,7 @@ class StructureDecomposition:
         return tuple(sorted({0, self.a, b, c}))
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "t": self.t,
-            "ell": self.ell,
-            "ell_prime": self.ell_prime,
-            "beta": self.beta,
-            "m": self.m,
-            "k": self.k,
-            "r": self.r,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,9 @@ class ProductForm:
     The encoded digit set is the disjoint union over a in A of a + N*B_a.
     Verification demands that (N, A, L1) and every (N, B_a, L2) be Hadamard
     triples, and that every (N, A (+) B_a, L1 (+) L2) be one as well, with
-    both direct sums collision-free.
+    both direct sums collision-free.  ``decomposition`` is the structure
+    decomposition the form was built from (`construct_product_form`), if any;
+    it is reported but takes no part in equality or verification.
     """
 
     n_ratio: int
@@ -160,6 +156,7 @@ class ProductForm:
     b_sets: tuple[tuple[int, ...], ...]
     l1: tuple[int, ...]
     l2: tuple[int, ...]
+    decomposition: StructureDecomposition | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.a_set) != len(self.b_sets):
@@ -172,8 +169,11 @@ class ProductForm:
             return None
         return tuple(sorted(pieces))
 
+    def verify(self) -> bool:
+        return verify_product_form(self)
+
     def to_json(self) -> dict:
-        return {
+        out = {
             "kind": "product-form",
             "N": self.n_ratio,
             "A": list(self.a_set),
@@ -181,8 +181,26 @@ class ProductForm:
             "L1": list(self.l1),
             "L2": list(self.l2),
             "digits": list(self.reconstruct_digits() or ()),
-            "verified": verify_product_form(self),
+            "verified": self.verify(),
         }
+        if self.decomposition is not None:
+            out["decomposition"] = self.decomposition.to_json()
+        return out
+
+    def describe(self) -> str:
+        blocks = "; ".join(f"B[{a}]={list(bs)}" for a, bs in zip(self.a_set, self.b_sets))
+        form = (
+            f"product form: N={self.n_ratio}, A={list(self.a_set)}, {blocks}, "
+            f"L1={list(self.l1)}, L2={list(self.l2)}"
+        )
+        d = self.decomposition
+        if d is None:
+            return form
+        return (
+            "decomposition "
+            f"a={d.a} t={d.t} ell={d.ell} ell'={d.ell_prime} beta={d.beta} m={d.m} k={d.k} r={d.r}"
+            f"\n  {form}"
+        )
 
 
 def verify_product_form(pf: ProductForm) -> bool:
@@ -220,7 +238,7 @@ def construct_product_form(dec: StructureDecomposition, n_ratio: int) -> Product
     # a*m**k is odd, the direct sums cannot collide, and the mask of {0, x, y, x+y}
     # is the product of the masks of {0, x} and {0, y}, so the sum triple holds.
     step = math.lcm(*(dec.m // math.gcd(dec.m, x) for x in (dec.ell, dec.ell_prime))) << (dec.beta - dec.r - 1)
-    pf = ProductForm(n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, n_ratio // 2), (0, step))
+    pf = ProductForm(n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, n_ratio // 2), (0, step), dec)
     if not verify_product_form(pf):
         raise InternalInconsistency(f"no verifiable product form for {dec.to_json()} at N={n_ratio}")
     return pf

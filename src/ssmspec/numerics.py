@@ -54,14 +54,12 @@ class MuHatEvaluator:
             k += 1
         return k
 
-    def mu_hat(self, xi, extra_terms: int = 0):
+    def mu_hat(self, xi):
         """Transform values at xi (scalar or array), within tolerance.
 
         The factor count is chosen from the largest |xi| in the call, so a
-        fixed grid always reproduces identical bytes.  ``extra_terms`` adds
-        factors on top of the certified count (used by self-consistency
-        tests); accuracy only improves with it.  Non-finite arguments, and
-        arguments so large that N**K leaves the float range, are refused.
+        fixed grid always reproduces identical bytes.  Non-finite arguments,
+        and arguments so large that N**K leaves the float range, are refused.
         """
         arr = np.asarray(xi, dtype=float)
         scalar = arr.ndim == 0
@@ -69,7 +67,6 @@ class MuHatEvaluator:
         if not np.isfinite(flat).all():
             raise InvalidInput("mu_hat needs finite arguments")
         kmax = self.terms_needed(float(np.max(np.abs(flat))) if flat.size else 0.0)
-        kmax += max(0, extra_terms)
         scale = float(self.n_ratio)
         try:
             scale**kmax  # the largest divisor of xi in the product below

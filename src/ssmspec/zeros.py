@@ -69,9 +69,13 @@ def cyclotomic_poly(q: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the q-th cyclotomic polynomial.
 
     Computed by dividing x**q - 1 by Phi_d for every proper divisor d of q.
+    Orders above 512, the cyclotomic route's range, raise Unsupported, so the
+    cache holds at most 512 entries.
     """
     if q < 1:
         raise InvalidInput("cyclotomic order must be >= 1")
+    if q > _TABLE_MAX:
+        raise Unsupported(f"cyclotomic polynomials support orders up to {_TABLE_MAX}, got {q}")
     num = [0] * (q + 1)
     num[0], num[q] = -1, 1
     for d in range(1, q):

@@ -52,7 +52,7 @@ def test_criterion_1_dutkay_jorgensen_example():
         assert v.outcome is Outcome.SPECTRAL
         dec = v.certificate.decomposition
         assert (dec.beta, dec.m, dec.t, dec.k, dec.r) == (2, 1, 3, 1, 1)
-        assert verify_product_form(v.certificate.product_form)
+        assert verify_product_form(v.certificate)
 
         points = dj_example_spectrum(3)
         assert len(points) == 14
@@ -163,11 +163,11 @@ def _scan_certificate_triples(rows):
         digits = tuple(int(x) for x in r["digits"].split(","))
         v = classify(F(1, r["N"]), digits)
         cert = v.certificate
-        if cert.kind == "hadamard-triple":
-            t = cert.triple
+        if isinstance(cert, HadamardTriple):
+            t = cert
             triples.append((t.n_ratio, t.digits, t.spectrum))
         else:
-            pf = cert.product_form
+            pf = cert
             triples.append((pf.n_ratio, pf.a_set, pf.l1))
             lsum = direct_sum(pf.l1, pf.l2)
             for bs in pf.b_sets:
@@ -194,7 +194,7 @@ def test_criterion_5_card2_card3_tables():
             if r["outcome"] != "Spectral":
                 continue
             digits = tuple(int(x) for x in r["digits"].split(","))
-            triple = classify(F(1, r["N"]), digits).certificate.triple
+            triple = classify(F(1, r["N"]), digits).certificate
             assert triple.verify()
             assert tiles_zn(triple.digits, r["N"]) is not None, r
 

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmspec.classify import (
     CITATIONS,
+    Dirac,
     Outcome,
     Reason,
     classify,
@@ -42,26 +45,26 @@ def test_dj_decomposition_fields():
     v = classify(F(1, 4), (0, 1, 8, 9))
     dec = v.certificate.decomposition
     assert (dec.t, dec.beta, dec.m, dec.k, dec.r) == (3, 2, 1, 1, 1)
-    assert verify_product_form(v.certificate.product_form)
+    assert verify_product_form(v.certificate)
 
 
 def test_card3_certificate():
     v = classify(F(1, 6), (0, 1, 2))
-    t = v.certificate.triple
+    t = v.certificate
     assert (t.n_ratio, t.digits, t.spectrum) == (6, (0, 1, 2), (0, 2, 4))
     assert t.verify()
 
 
 def test_card2_certificate():
     v = classify(F(1, 4), (0, 2))
-    t = v.certificate.triple
+    t = v.certificate
     assert (t.n_ratio, t.digits, t.spectrum) == (4, (0, 1), (0, 2))
 
 
 def test_card1_is_trivially_spectral():
     v = classify(F(2, 5), (0,))
     assert v.outcome is Outcome.SPECTRAL
-    assert v.certificate.kind == "dirac"
+    assert isinstance(v.certificate, Dirac)
 
 
 def test_empty_zero_set_cases():
@@ -150,7 +153,7 @@ def test_exhaustive_mini_scan_no_panics():
             v = classify(F(1, n), (0, *rest))
             assert v.outcome in (Outcome.SPECTRAL, Outcome.NON_SPECTRAL)
             if v.outcome is Outcome.SPECTRAL:
-                assert verify_product_form(v.certificate.product_form)
+                assert verify_product_form(v.certificate)
                 assert not zero_set(v.normalized).is_empty
                 assert n % 2 == 0
 
@@ -253,3 +256,33 @@ def test_digit_facts_keep_refusals():
     for digits in ((0, 1, 1, 2, 3), (1, 2, 3, 4, 5)):
         with pytest.raises(InvalidInput):
             classify(F(1, 4), digits)
+
+
+# ------------------------------------------------------- scale invariance
+
+
+@st.composite
+def scaled_digit_sets(draw):
+    # a gcd-1 integer set {0, ...} of 2 to 4 digits, a rational c > 0, and N
+    rest = draw(
+        st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True).filter(
+            lambda r: math.gcd(*r) == 1
+        )
+    )
+    c = F(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    return (0, *sorted(rest)), c, draw(st.integers(2, 64))
+
+
+def _certificate_json(v):
+    return None if v.certificate is None else v.certificate.to_json()
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_digit_sets())
+def test_classification_is_invariant_under_scaling_the_digits(case):
+    digits, c, n = case
+    base = classify(F(1, n), digits)
+    scaled = classify(F(1, n), tuple(c * d for d in digits))
+    assert (scaled.outcome, scaled.reason) == (base.outcome, base.reason)
+    assert scaled.normalized.integers == base.normalized.integers
+    assert _certificate_json(scaled) == _certificate_json(base)

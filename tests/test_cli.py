@@ -205,7 +205,7 @@ def test_oversized_truncation_exits_2(capsys, monkeypatch, command, digits, leve
 
 def test_oversized_gram_exits_2(capsys, monkeypatch):
     # the point cap must refuse before any transform value is computed
-    def no_work(self, xi, extra_terms=0):
+    def no_work(self, xi):
         raise AssertionError("Gram work started")
 
     monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.mu_hat", no_work)
@@ -219,7 +219,7 @@ def test_oversized_gram_exits_2(capsys, monkeypatch):
 )
 def test_oversized_qdump_exits_2(capsys, monkeypatch, extra):
     # the mask-term cap must refuse before the grid or any transform value is built
-    def no_work(self, xi, extra_terms=0):
+    def no_work(self, xi):
         raise AssertionError("Q work started")
 
     monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.mu_hat", no_work)

@@ -1,8 +1,10 @@
 """Byte pins of the exact layer's deterministic CLI output.
 
 Each case runs one CLI command and compares the sha256 of its stdout with a
-recorded value.  Only exact-layer text is pinned (scan tables, classify and
-zeros JSON); float CSVs are not, since their last digits may move with numpy.
+recorded value, and of its stderr when a third value is given (the
+`--explain` text); otherwise stderr must be empty.  Only exact-layer text is
+pinned (scan tables, classify and zeros JSON, explanations); float CSVs are
+not, since their last digits may move with numpy.
 """
 
 import hashlib
@@ -36,6 +38,17 @@ CASES = {
     "classify-dj": (
         ["classify", "--rho", "1/4", "--digits", "0,1,8,9", "--explain"],
         "6b6bbd7e6aa48cd8c374c24cf06376897c9253973d75973c2f4c76f65ec3bfd1",
+        "266fb95ab420f172237ac463cc2bd59bc59dbca64d8bad26c94d18912577454d",
+    ),
+    "classify-dirac": (
+        ["classify", "--rho", "2/5", "--digits", "0", "--explain"],
+        "d5909b8fc38e644d4bcabefcf4a54d1747617543489930b14f2e7e51232d26ed",
+        "d8d8a686a1bf62f7d1fb311576b5be8042e9821fc97cbebd00d9e82df2bfd85b",
+    ),
+    "classify-card3": (
+        ["classify", "--rho", "1/6", "--digits", "0,1,2", "--explain"],
+        "e86be32bee712da0cac7c4a19100804483c01f25cfa189eeb4e90969381c7a07",
+        "0372e7f21200186d444a35131212f51888c932d1efb468cbee531063aa47d5f9",
     ),
     "classify-n-odd": (
         ["classify", "--rho", "1/3", "--digits", "0,2"],
@@ -52,6 +65,11 @@ CASES = {
     "classify-irrational": (
         ["classify", "--rho", "1/4", "--digits", "0,1,t,1+t"],
         "f0f59a129fb1d708e25beadc7117b9d06e47d38d4642cb2024269250daad0c50",
+    ),
+    "classify-irrational-explain": (
+        ["classify", "--rho", "1/4", "--digits", "0,1,t,1+t", "--explain"],
+        "f0f59a129fb1d708e25beadc7117b9d06e47d38d4642cb2024269250daad0c50",
+        "4bb007c6bb283de7cc8867bfb8c32844df7e612f0b930a90136ab6bb200c8447",
     ),
     "classify-0123-n12": (
         ["classify", "--rho", "1/12", "--digits", "0,1,2,3"],
@@ -78,7 +96,11 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_is_pinned(name, capsys):
-    argv, digest = CASES[name]
+    argv, digest, *err_digest = CASES[name]
     assert main(argv) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if err_digest:
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest[0]
+    else:
+        assert err == ""

@@ -208,7 +208,7 @@ def test_product_form_l2_equals_the_search(row):
     v = classify(F(1, n), digits)
     assert v.outcome is Outcome.SPECTRAL
     cert = v.certificate
-    assert _oracle_product_form(cert.decomposition, n) == cert.product_form
+    assert _oracle_product_form(cert.decomposition, n) == cert
 
 
 def test_product_form_work_does_not_grow_with_n(monkeypatch):
@@ -221,7 +221,7 @@ def test_product_form_work_does_not_grow_with_n(monkeypatch):
 
     monkeypatch.setattr("ssmspec.hadamard._vanishes_at", counted)
     v = classify(F(1, 4000004), (0, 1, 2, 3))
-    assert v.certificate.product_form.l2 == (0, 1000001)
+    assert v.certificate.l2 == (0, 1000001)
     assert calls < 32  # the verification's pair tests only; the search made 1,000,017
 
 

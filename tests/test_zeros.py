@@ -54,6 +54,20 @@ def test_cyclotomic_against_sympy():
         assert list(ours) == [int(c) for c in theirs], q
 
 
+def test_cyclotomic_order_bound(monkeypatch):
+    # orders above the table range are refused before any division starts
+    def no_work(num, den):
+        raise AssertionError("polynomial division started")
+
+    monkeypatch.setattr("ssmspec.zeros._poly_exact_div", no_work)
+    for q in (513, 30030):
+        with pytest.raises(Unsupported, match="orders up to 512, got"):
+            cyclotomic_poly(q)
+    monkeypatch.undo()
+    assert cyclotomic_poly(512) == (1, *[0] * 255, 1)
+    assert cyclotomic_poly.cache_info().currsize <= 512
+
+
 # ------------------------------------------------------- exact mask values
 
 
