@@ -223,6 +223,7 @@ def test_oversized_qdump_exits_2(capsys, monkeypatch, extra):
         raise AssertionError("Q work started")
 
     monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.mu_hat", no_work)
+    monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.power", no_work)
     code, out, err = run(capsys, "qdump", "--rho", "1/4", "--digits", "0,2", *extra)
     assert code == 2 and out == ""
     assert "exceeds the limit of 16777216 mask terms" in err

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmspec.exact import InvalidInput
 from ssmspec.hadamard import HadamardTriple, is_hadamard_triple
@@ -18,7 +20,7 @@ from ssmspec.numerics import (
     q_samples_csv,
     unitarity_defect,
 )
-from ssmspec.spectra import spectrum_truncation
+from ssmspec.spectra import dj_example_spectrum, spectrum_truncation
 from ssmspec.zeros import mu_zero_member
 
 JP = HadamardTriple(4, (0, 2), (0, 1))
@@ -118,6 +120,7 @@ def test_q_term_cap(monkeypatch):
         raise AssertionError("Q work started")
 
     monkeypatch.setattr(MuHatEvaluator, "mu_hat", no_work)
+    monkeypatch.setattr(MuHatEvaluator, "power", no_work)
     ev = MuHatEvaluator((0, 2), 4)
     assert MAX_Q_TERMS == 4 * MAX_GRAM_POINTS**2 == 1 << 24
     check_q_terms(ev, 4096, 2048)  # exactly the budget
@@ -195,3 +198,73 @@ def test_float_points_are_refused():
     # Grid values stay floats.
     assert [s.xi for s in q_function(ev, [0, F(1, 4)], [0.0, 0.5])] == [0.0, 0.5]
     np.testing.assert_array_equal(gram_matrix(ev, [0, "1/4"]), gram_matrix(ev, [0, F(1, 4)]))
+
+
+rational_digit_sets = st.lists(
+    st.fractions(min_value=-12, max_value=12, max_denominator=6), min_size=1, max_size=4, unique=True
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_digit_sets, st.integers(2, 10), st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
+def test_power_is_the_squared_modulus_of_mu_hat(digits, n_ratio, xs):
+    ev = MuHatEvaluator(digits, n_ratio)
+    xs = np.asarray(xs)
+    np.testing.assert_allclose(ev.power(xs), np.abs(ev.mu_hat(xs)) ** 2, rtol=0, atol=1e-9)
+    assert ev.power(xs[0]) == pytest.approx(abs(ev.mu_hat(xs[0])) ** 2, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_digit_sets, st.sampled_from([2, 3, 4, 6, 10]), st.floats(-100, 100))
+def test_power_against_reference(digits, n_ratio, xi):
+    ev = MuHatEvaluator(digits, n_ratio)
+    ref = abs(mu_hat_reference(digits, n_ratio, xi, ev.terms_needed(abs(xi)) + 20)) ** 2
+    assert abs(ev.power(xi) - ref) <= 2 * ev.tolerance
+
+
+@pytest.mark.parametrize("digits,n_ratio", [((0, 1), 2), ((0, 1, 2), 3), ((0, 1, 2, 3), 4), ((0, 1, 8, 9), 4)])
+def test_power_is_not_negative_at_exact_zeros(digits, n_ratio):
+    # Without the clamp, rounding leaves products near -1e-17 at some of these zeros.
+    ev = MuHatEvaluator(digits, n_ratio)
+    grid = [F(j, 48) * n_ratio**k for k in range(5) for j in range(1, 97)]
+    zeros = [xi for xi in grid if mu_zero_member(digits, n_ratio, xi)]
+    assert len(zeros) > 20
+    values = ev.power([float(xi) for xi in zeros])
+    assert (values >= 0).all() and values.max() <= ev.tolerance
+
+
+def gram_all_pairs(ev, points):
+    """The Gram matrix from every ordered pair of points: the oracle for gram_matrix."""
+    pts = np.asarray([float(F(p)) for p in points])
+    return ev.mu_hat(pts[:, None] - pts[None, :])
+
+
+@pytest.mark.parametrize(
+    "digits,n_ratio,points",
+    [
+        ((0, 2), 4, spectrum_truncation(JP, 5).points),
+        ((0, 1, 2), 6, spectrum_truncation(HadamardTriple(6, (0, 1, 2), (0, 2, 4)), 3).points),
+        ((0, 1, 8, 9), 4, dj_example_spectrum(8)),
+        ((0, 1), 4, dj_example_spectrum(5)),
+        ((0, 1, 2, 3), 4, range(100)),
+        ((-3, 0, F(5, 2)), 5, [F(-7, 3), 0, 1, F(1, 3), 4, 11]),
+    ],
+)
+def test_gram_matrix_equals_all_pairs(digits, n_ratio, points):
+    ev = MuHatEvaluator(digits, n_ratio)
+    g = gram_matrix(ev, points)
+    assert np.array_equal(g, gram_all_pairs(ev, points))
+    assert np.array_equal(g.T, g.conj())
+
+
+def test_gram_evaluates_each_distinct_difference_once(monkeypatch):
+    sizes = []
+
+    def counting_mask(digits, eta):
+        sizes.append(np.size(eta))
+        return float_mask(digits, eta)
+
+    monkeypatch.setattr("ssmspec.numerics.float_mask", counting_mask)
+    ev = MuHatEvaluator((0, 1, 2, 3), 4)
+    gram_matrix(ev, range(1024))
+    assert sizes == [2047] * ev.terms_needed(1023)
