@@ -65,7 +65,6 @@ from .classify import (
 from .spectra import (
     BiZeroReport,
     DegenerateTriple,
-    SpectrumTruncation,
     dj_example_spectrum,
     greedy_bizero,
     is_bizero_set,
@@ -73,7 +72,6 @@ from .spectra import (
 )
 from .numerics import (
     MuHatEvaluator,
-    QSample,
     gram_matrix,
     q_function,
     unitarity_defect,

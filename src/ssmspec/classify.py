@@ -188,16 +188,12 @@ def digit_facts(digits: Union[DigitFacts, DigitSet, Iterable]) -> DigitFacts:
     digit set at many ratios; a DigitFacts passes through unchanged."""
     if isinstance(digits, DigitFacts):
         return digits
-    if isinstance(digits, DigitSet):
-        dset = digits
-        digit_text = dset.display()
-    else:
-        raw = [as_digit(d) for d in digits]
-        digit_text = tuple(str(d) for d in raw)
-        try:
-            dset = DigitSet(tuple(raw))
-        except Unsupported:
-            return DigitFacts(digit_text, len(raw))
+    raw = digits.digits if isinstance(digits, DigitSet) else tuple(as_digit(d) for d in digits)
+    digit_text = tuple(str(d) for d in raw)
+    try:
+        dset = DigitSet(raw)
+    except Unsupported:
+        return DigitFacts(digit_text, len(raw))
     norm = normalize_digits(dset)
     if isinstance(norm, IrreducibleWitness):
         return DigitFacts(digit_text, dset.cardinality, witness=norm)
@@ -287,7 +283,7 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
     dec = StructureDecomposition(
         a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m, k=k, r=r
     )
-    pf = construct_product_form(dec, n_ratio)
+    pf = construct_product_form(dec)
     return verdict(Reason.OK, ("card4", "product-form"), normalized=norm, certificate=pf)
 
 

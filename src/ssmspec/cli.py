@@ -134,6 +134,10 @@ def cmd_zeros(args) -> int:
 # -------------------------------------------------------------------- scan
 
 
+# Largest scan, in candidate digit sets C(bound, #D - 1) times ratios: known before enumerating.
+MAX_SCAN_ROWS = 1 << 20
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     cardinality: int
@@ -148,6 +152,9 @@ class ScanConfig:
             raise InvalidInput("digit bound must be >= 3")
         if not (2 <= self.n_min <= self.n_max <= 64):
             raise InvalidInput("N range must lie within [2, 64]")
+        rows = math.comb(self.digit_bound, self.cardinality - 1) * (self.n_max - self.n_min + 1)
+        if rows > MAX_SCAN_ROWS:
+            raise InvalidInput(f"a scan of up to {rows} rows exceeds the limit of {MAX_SCAN_ROWS} rows")
 
 
 def enumerate_digit_sets(cardinality: int, digit_bound: int) -> list[tuple[int, ...]]:
@@ -242,7 +249,7 @@ def _spectrum_points(args, n_ratio: int):
                 "try --spectrum greedy:<bound>:<count>"
             )
         triple = HadamardTriple(n_ratio, ints, found)
-        return spectrum_truncation(triple, args.level).points
+        return spectrum_truncation(triple, args.level)
     kind, _, fields = spec.partition(":")
     arity = {"dj": 1, "greedy": 2}.get(kind)
     if arity is None:
@@ -272,8 +279,7 @@ def cmd_qdump(args) -> int:
     count = int(1 / args.grid)
     check_q_terms(ev, count, len(points))
     grid = [float(j * args.grid) for j in range(count)]
-    samples = q_function(ev, points, grid, level=args.level)
-    _emit(q_samples_csv(samples), args.out)
+    _emit(q_samples_csv(grid, q_function(ev, points, grid), args.level), args.out)
     return EXIT_OK
 
 

@@ -199,9 +199,6 @@ class DigitSet:
     def cardinality(self) -> int:
         return len(self.digits)
 
-    def display(self) -> tuple[str, ...]:
-        return tuple(str(d) for d in self.digits)
-
 
 @dataclass(frozen=True)
 class NormalizedDigits:
@@ -283,14 +280,9 @@ def normalize_digits(d: DigitSet) -> Union[NormalizedDigits, IrreducibleWitness]
             if u.rational * v.tau_coeff != v.rational * u.tau_coeff:
                 return IrreducibleWitness(v, u)
 
+    # base has the least t-coefficient, which is positive: else the test above failed.
     base = nonzero[0]
-    ratios = []
-    for v in nonzero:
-        if base.tau_coeff != 0:
-            ratios.append(v.tau_coeff / base.tau_coeff)
-        else:
-            ratios.append(v.rational / base.rational)
-    alpha, ints = _normalize_rationals(ratios)
+    alpha, ints = _normalize_rationals([v.tau_coeff / base.tau_coeff for v in nonzero])
     return NormalizedDigits(base.scaled(alpha), (0, *ints))
 
 

@@ -223,24 +223,22 @@ def verify_product_form(pf: ProductForm) -> bool:
     return True
 
 
-def construct_product_form(dec: StructureDecomposition, n_ratio: int) -> ProductForm:
+def construct_product_form(dec: StructureDecomposition) -> ProductForm:
     """Build and exactly verify the product-form witness for a decomposition.
 
     The blocks follow the one-stage construction: A = {0, a*m**k} with the two
     B blocks {0, 2**r * ell} and {0, 2**r * ell'}, L1 = {0, N/2} and
     L2 = {0, l} for the least l that makes both B blocks Hadamard with it.
     """
-    if n_ratio != dec.n_ratio:
-        raise InvalidInput(f"N = {n_ratio} does not match the decomposition (expects {dec.n_ratio})")
     b_sets = ((0, (1 << dec.r) * dec.ell), (0, (1 << dec.r) * dec.ell_prime))
     # (N, {0, 2**r * x}, {0, l}) is Hadamard iff l = 2**(beta-r-1) * (m/gcd(m, x)) * odd,
     # so `step` (<= N/4) is the least l serving both blocks.  (N, A, L1) holds as
     # a*m**k is odd, the direct sums cannot collide, and the mask of {0, x, y, x+y}
     # is the product of the masks of {0, x} and {0, y}, so the sum triple holds.
     step = math.lcm(*(dec.m // math.gcd(dec.m, x) for x in (dec.ell, dec.ell_prime))) << (dec.beta - dec.r - 1)
-    pf = ProductForm(n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, n_ratio // 2), (0, step), dec)
+    pf = ProductForm(dec.n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, dec.n_ratio // 2), (0, step), dec)
     if not verify_product_form(pf):
-        raise InternalInconsistency(f"no verifiable product form for {dec.to_json()} at N={n_ratio}")
+        raise InternalInconsistency(f"no verifiable product form for {dec.to_json()} at N={dec.n_ratio}")
     return pf
 
 
@@ -249,26 +247,38 @@ def tiles_zn(c_set: Iterable[int], n_ratio: int) -> tuple[int, ...] | None:
 
     Backtracking over the candidates that can cover the smallest uncovered
     residue; complements are searched with 0 in B, which loses no generality.
+    Each placed block covers that residue, so the next one lies further on;
+    N > MAX_SEARCH_N is refused up front.
     """
+    if n_ratio > MAX_SEARCH_N:
+        raise InvalidInput(f"N = {n_ratio} exceeds the tiling search cap of {MAX_SEARCH_N}")
     c = integer_digits(c_set)
     if n_ratio < 1 or n_ratio % len(c) != 0:
         return None
     c_mod = sorted(x % n_ratio for x in c)
     if len(set(c_mod)) != len(c_mod):
         return None
-    size = n_ratio // len(c)
-
-    def place(b_partial: list[int], covered: set[int]) -> tuple[int, ...] | None:
-        if len(b_partial) == size:
-            return tuple(sorted(b_partial))
-        u = min(set(range(n_ratio)) - covered)
-        for b in sorted({(u - x) % n_ratio for x in c_mod}):
-            block = {(x + b) % n_ratio for x in c_mod}
-            if len(block) == len(c_mod) and not (block & covered):
-                found = place(b_partial + [b], covered | block)
-                if found is not None:
-                    return found
-        return None
-
-    first = {x % n_ratio for x in c_mod}
-    return place([0], first)
+    covered = [False] * n_ratio
+    chosen: list[int] = []
+    # One frame per block: the residue it covers and the translates b covering
+    # it still to try, in increasing order.  The first block is C itself.
+    frames = [(0, iter((0,)))]
+    while frames:
+        u, untried = frames[-1]
+        b = next((b for b in untried if not any(covered[(x + b) % n_ratio] for x in c_mod)), None)
+        if b is None:  # none fits: the frame below takes its block back and tries its next
+            frames.pop()
+            if chosen:
+                b = chosen.pop()
+                for x in c_mod:
+                    covered[(x + b) % n_ratio] = False
+            continue
+        for x in c_mod:
+            covered[(x + b) % n_ratio] = True
+        chosen.append(b)
+        if len(chosen) == n_ratio // len(c):
+            return tuple(sorted(chosen))
+        while covered[u]:
+            u += 1
+        frames.append((u, iter(sorted({(u - x) % n_ratio for x in c_mod}))))
+    return None

@@ -127,36 +127,34 @@ def check_q_terms(ev: MuHatEvaluator, grid_count: int, point_count: int) -> None
         )
 
 
-@dataclass(frozen=True)
-class QSample:
-    xi: float
-    q_value: float
-    level: int
+def _float_points(points: Sequence[Union[int, Fraction]]) -> np.ndarray:
+    """Exact rational points (`as_fraction`) as floats, refusing any beyond the float range."""
+    try:
+        return np.asarray([float(as_fraction(p)) for p in points], dtype=float)
+    except OverflowError:
+        raise InvalidInput("a point lies beyond the float range") from None
 
 
 def q_function(
-    ev: MuHatEvaluator,
-    points: Sequence[Union[int, Fraction]],
-    xi_grid: Sequence[float],
-    level: int = 0,
-) -> list[QSample]:
-    """Q(xi) = sum over the points of |mu_hat(xi + point)|^2 on a grid.
+    ev: MuHatEvaluator, points: Sequence[Union[int, Fraction]], xi_grid: Sequence[float]
+) -> np.ndarray:
+    """Q(xi) = sum over the points of |mu_hat(xi + point)|^2, one value per
+    grid point.
 
     For a bi-zero set Q <= 1 everywhere, with equality everywhere exactly
     when the points grow into a spectrum; values are reported, never asserted.
     """
     check_q_terms(ev, len(xi_grid), len(points))
-    pts = np.asarray([float(as_fraction(p)) for p in points], dtype=float)
+    pts = _float_points(points)
     grid = np.asarray(xi_grid, dtype=float)
-    totals = ev.power(grid[:, None] + pts[None, :]).sum(axis=1)
-    return [QSample(float(x), float(q), level) for x, q in zip(grid, totals)]
+    return ev.power(grid[:, None] + pts[None, :]).sum(axis=1)
 
 
 def gram_matrix(ev: MuHatEvaluator, points: Sequence[Union[int, Fraction]]) -> np.ndarray:
     """Gram matrix G[i, j] = mu_hat(p_i - p_j); the diagonal is exactly 1."""
     if len(points) > MAX_GRAM_POINTS:
         raise InvalidInput(f"a Gram matrix of {len(points)} points exceeds the limit of {MAX_GRAM_POINTS} points")
-    pts = np.asarray([float(as_fraction(p)) for p in points], dtype=float)
+    pts = _float_points(points)
     diffs = pts[:, None] - pts[None, :]
     # Each distinct difference once: the largest |xi|, so K and every value, stay the same.
     distinct, where = np.unique(diffs, return_inverse=True)
@@ -180,11 +178,11 @@ def _g17(x: float) -> str:
     return "%.17g" % x
 
 
-def q_samples_csv(samples: Sequence[QSample]) -> str:
+def q_samples_csv(xi_grid: Sequence[float], q_values: Sequence[float], level: int) -> str:
     """CSV rendering with header xi,q,level; floats at 17 significant digits."""
     lines = ["xi,q,level"]
-    for s in samples:
-        lines.append(f"{_g17(s.xi)},{_g17(s.q_value)},{s.level}")
+    for xi, q in zip(xi_grid, q_values):
+        lines.append(f"{_g17(xi)},{_g17(q)},{level}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,15 +34,8 @@ class DegenerateTriple(ValueError):
     """Truncation sums collided; the triple cannot generate a spectrum."""
 
 
-@dataclass(frozen=True)
-class SpectrumTruncation:
-    base: HadamardTriple
-    level: int
-    points: tuple[int, ...]
-
-
-def spectrum_truncation(triple: HadamardTriple, level: int) -> SpectrumTruncation:
-    """Level-n truncation {sum N**j * l_j : l_j in L, j < n} of a triple's spectrum."""
+def spectrum_truncation(triple: HadamardTriple, level: int) -> tuple[int, ...]:
+    """Sorted level-n truncation {sum N**j * l_j : l_j in L, j < n} of a triple's spectrum."""
     if level < 0:
         raise InvalidInput("level must be >= 0")
     k = len(triple.spectrum)
@@ -60,7 +53,7 @@ def spectrum_truncation(triple: HadamardTriple, level: int) -> SpectrumTruncatio
         scale *= triple.n_ratio
     if len(set(points)) != len(points):
         raise DegenerateTriple("truncation sums collided")
-    return SpectrumTruncation(triple, level, tuple(sorted(points)))
+    return tuple(sorted(points))
 
 
 @dataclass(frozen=True)
@@ -137,12 +130,10 @@ def greedy_bizero(
 
 def dj_example_spectrum(n: int) -> list[Fraction]:
     """The explicit spectrum (Z + {0, 1/4}) of the digits {0,1,8,9} at ratio
-    1/4, truncated to integers in [-n, n]; 2*(2n+1) points, sorted."""
+    1/4, truncated to integers in [-n, n]; 2*(2n+1) points, sorted.  More
+    than MAX_TRUNCATION_POINTS points are refused before any is built."""
     if n < 0:
         raise InvalidInput("n must be >= 0")
-    quarter = Fraction(1, 4)
-    out = []
-    for k in range(-n, n + 1):
-        out.append(Fraction(k))
-        out.append(k + quarter)
-    return sorted(out)
+    if 2 * (2 * n + 1) > MAX_TRUNCATION_POINTS:
+        raise InvalidInput(f"dj spectrum of {2 * (2 * n + 1)} points is over the limit of {MAX_TRUNCATION_POINTS}")
+    return [Fraction(k) + off for k in range(-n, n + 1) for off in (0, Fraction(1, 4))]

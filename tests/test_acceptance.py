@@ -69,7 +69,7 @@ def test_criterion_2_jorgensen_pedersen_pair():
         assert bad.outcome is Outcome.NON_SPECTRAL and bad.reason is Reason.N_ODD
 
         triple = HadamardTriple(4, (0, 2), (0, 1))
-        lam8 = spectrum_truncation(triple, 8).points
+        lam8 = spectrum_truncation(triple, 8)
         assert is_bizero_set(lam8, (0, 2), 4).is_bizero
 
         ev = MuHatEvaluator((0, 2), 4, tolerance=1e-10)
@@ -77,8 +77,8 @@ def test_criterion_2_jorgensen_pedersen_pair():
         prev = None
         q8 = None
         for level in range(2, 9):
-            pts = spectrum_truncation(triple, level).points
-            vals = np.array([s.q_value for s in q_function(ev, pts, grid, level)])
+            pts = spectrum_truncation(triple, level)
+            vals = q_function(ev, pts, grid)
             assert vals.max() <= 1 + 1e-9
             if prev is not None:
                 assert np.all(vals >= prev - 1e-12), f"Q not monotone at level {level}"

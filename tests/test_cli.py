@@ -136,6 +136,42 @@ def test_scan_violation_exits_1(capsys, monkeypatch):
     assert code == 1 and "synthetic problem" in err
 
 
+def test_scan_reports_each_invariant_violation(capsys, monkeypatch):
+    import ssmspec.cli as cli
+    from ssmspec.classify import Dirac, Reason, Verdict
+    from ssmspec.exact import Digit, NormalizedDigits
+
+    class Failing:
+        def verify(self):
+            return False
+
+    # A Spectral verdict per N, each breaking one check of run_scan.
+    fakes = {
+        2: ((0, 1, 2, 3), Dirac()),  # t1 = t2 = 1 and beta = 1 divides it
+        3: ((0, 1, 8, 9), Dirac()),  # odd N
+        4: ((0, 1, 8, 9), Failing()),  # a certificate that fails
+        5: ((0, 1, 3, 5), Dirac()),  # three odd digits
+        6: ((0, 1, 2, 5), Dirac()),  # t1 = 1, t2 = 2
+    }
+
+    def fake_classify(ratio, facts):
+        ints, cert = fakes[ratio.reciprocal_integer()]
+        norm = NormalizedDigits(Digit(Fraction(1)), ints)
+        return Verdict(Reason.OK, (), str(ratio), facts.digit_text, None, normalized=norm, certificate=cert)
+
+    monkeypatch.setattr(cli, "classify", fake_classify)
+    code, _, err = run(capsys, "scan", "--cardinality", "4", "--digit-bound", "3", "--n-max", "6")
+    assert code == 1
+    assert err.splitlines() == [
+        "violation: 0,1,2,3 N=2: Spectral with beta dividing t",
+        "violation: 0,1,2,3 N=3: Spectral with odd N",
+        "violation: 0,1,2,3 N=4: Spectral without verified certificate",
+        "violation: 0,1,2,3 N=5: Spectral with odd N",
+        "violation: 0,1,2,3 N=5: Spectral without the two-odd-one-even pattern",
+        "violation: 0,1,2,3 N=6: Spectral with t1 != t2",
+    ]
+
+
 def test_scan_config_validation(capsys):
     from ssmspec.cli import ScanConfig
     from ssmspec.exact import InvalidInput
@@ -275,6 +311,31 @@ def test_qdump_determinism(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_oversized_scan_is_refused_before_enumeration(capsys, monkeypatch):
+    import ssmspec.cli as cli
+    from ssmspec.cli import ScanConfig
+    from ssmspec.exact import InvalidInput
+
+    with pytest.raises(InvalidInput):
+        ScanConfig(4, 10**5, 2, 64)
+    ScanConfig(4, 47, 2, 64)  # C(47, 3) * 63 = 1,021,545 rows, the largest four-digit bound accepted
+    with pytest.raises(InvalidInput):
+        ScanConfig(4, 48, 2, 64)
+
+    def no_enumeration(*args):
+        raise AssertionError("digit sets enumerated before the size check")
+
+    monkeypatch.setattr(cli, "enumerate_digit_sets", no_enumeration)
+    code, out, err = run(capsys, "scan", "--cardinality", "4", "--digit-bound", "100000", "--n-max", "64")
+    assert code == 2 and out == "" and "exceeds the limit of 1048576 rows" in err
+
+
+@pytest.mark.parametrize("command", ["qdump", "gram"])
+def test_oversized_dj_spectrum_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--rho", "1/4", "--digits", "0,1,8,9", "--spectrum", "dj:16384")
+    assert code == 2 and out == "" and "over the limit of 65536" in err
 
 
 def test_tolerance_env_override(capsys, monkeypatch):

@@ -152,7 +152,7 @@ def dec_0189():
 
 
 def test_construct_product_form_dj():
-    pf = construct_product_form(dec_0189(), 4)
+    pf = construct_product_form(dec_0189())
     assert pf.a_set == (0, 1)
     assert pf.b_sets == ((0, 2), (0, 2))
     assert pf.l1 == (0, 2)
@@ -163,7 +163,7 @@ def test_construct_product_form_dj():
 
 def test_construct_product_form_0123():
     dec = StructureDecomposition(a=1, t=1, ell=1, ell_prime=1, beta=2, m=1, k=0, r=1)
-    pf = construct_product_form(dec, 4)
+    pf = construct_product_form(dec)
     assert pf.a_set == (0, 1) and pf.b_sets == ((0, 2), (0, 2))
     assert pf.l1 == (0, 2) and pf.l2 == (0, 1)
     assert verify_product_form(pf)
@@ -226,9 +226,23 @@ def test_product_form_work_does_not_grow_with_n(monkeypatch):
 
 
 def test_product_form_bad_l2_fails():
-    good = construct_product_form(dec_0189(), 4)
+    good = construct_product_form(dec_0189())
     bad = ProductForm(good.n_ratio, good.a_set, good.b_sets, good.l1, (0, 4))
     assert not verify_product_form(bad)
+
+
+@pytest.mark.parametrize(
+    "a_set,b_sets,l1,l2",
+    [
+        ((0, 8), ((0, 2), (0, 2)), (0, 2), (0, 1)),  # the blocks a + N*B_a collide
+        ((0, 1), ((0, 2), (0, 2)), (0, 1), (0, 1)),  # (N, A, L1) is not Hadamard
+        ((0, 1), ((0, 2), (0, 2)), (0, 2), (0, 2)),  # L1 (+) L2 collides
+        ((0, 1), ((0, 1), (0, 1)), (0, 2), (0, 6)),  # A (+) B_a collides
+        ((0, 1), ((0, 3), (0, 3)), (0, 2), (0, 6)),  # (N, A (+) B_a, L1 (+) L2) is not Hadamard
+    ],
+)
+def test_verify_product_form_fails_each_broken_condition(a_set, b_sets, l1, l2):
+    assert not verify_product_form(ProductForm(4, a_set, b_sets, l1, l2))
 
 
 def test_product_form_degenerate_is_plain_triple():
@@ -249,8 +263,6 @@ def test_structure_decomposition_validation():
     dec = dec_0189()
     assert dec.digit_tuple() == (0, 1, 8, 9)
     assert dec.n_ratio == 4
-    with pytest.raises(InvalidInput):
-        construct_product_form(dec, 8)
 
 
 def test_direct_sum():
@@ -280,6 +292,13 @@ def test_tiles_zn_output_is_a_tiling():
             continue
         sums = [(x + y) % n for x in c for y in b]
         assert sorted(sums) == list(range(n)), (c, n, b)
+
+
+def test_tiles_zn_deep_search_and_cap():
+    b = tiles_zn((0, 1), 4096)
+    assert b == tuple(range(0, 4096, 2))
+    with pytest.raises(InvalidInput):
+        tiles_zn((0, 1), MAX_SEARCH_N + 2)
 
 
 def test_tiles_zn_existence_matches_brute_force():

@@ -77,9 +77,9 @@ def test_mask_basics():
 
 def test_q_single_point_decays():
     ev = MuHatEvaluator((0, 2), 4)
-    samples = q_function(ev, [0], [0.0, 0.4], level=0)
-    assert samples[0].q_value == pytest.approx(1.0, abs=1e-12)
-    assert samples[1].q_value < 1.0
+    q = q_function(ev, [0], [0.0, 0.4])
+    assert q[0] == pytest.approx(1.0, abs=1e-12)
+    assert q[1] < 1.0
 
 
 def test_q_bizero_bound_and_monotonicity():
@@ -87,8 +87,8 @@ def test_q_bizero_bound_and_monotonicity():
     grid = [j / 64 for j in range(64)]
     prev = None
     for level in (2, 3, 4):
-        pts = spectrum_truncation(JP, level).points
-        vals = np.array([s.q_value for s in q_function(ev, pts, grid, level)])
+        pts = spectrum_truncation(JP, level)
+        vals = q_function(ev, pts, grid)
         assert vals.max() <= 1 + 10 * len(pts) * ev.tolerance
         if prev is not None:
             assert np.all(vals >= prev - 1e-12)
@@ -99,7 +99,7 @@ def test_gram_identity_and_violations():
     ev = MuHatEvaluator((0, 2), 4)
     one = gram_matrix(ev, [0])
     assert one.shape == (1, 1) and one[0, 0] == 1.0 + 0.0j
-    pts = spectrum_truncation(JP, 2).points
+    pts = spectrum_truncation(JP, 2)
     g = gram_matrix(ev, pts)
     assert np.all(np.diag(g) == 1.0)
     assert np.max(np.abs(g - np.eye(len(pts)))) <= 1e-8
@@ -112,6 +112,21 @@ def test_gram_point_cap():
     assert MAX_GRAM_POINTS == 2048
     with pytest.raises(InvalidInput, match="exceeds the limit of 2048 points"):
         gram_matrix(ev, range(MAX_GRAM_POINTS + 1))
+
+
+def test_points_beyond_the_float_range_are_refused(monkeypatch):
+    ev = MuHatEvaluator((0, 2), 4)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("transform evaluated before the point check")
+
+    monkeypatch.setattr(MuHatEvaluator, "mu_hat", no_work)
+    monkeypatch.setattr(MuHatEvaluator, "power", no_work)
+    for points in ([0, 10**400], [0, F(-(10**400), 3)]):
+        with pytest.raises(InvalidInput, match="beyond the float range"):
+            q_function(ev, points, [0.0, 0.5])
+        with pytest.raises(InvalidInput, match="beyond the float range"):
+            gram_matrix(ev, points)
 
 
 def test_q_term_cap(monkeypatch):
@@ -175,8 +190,8 @@ def test_mu_hat_refuses_what_it_cannot_certify():
 
 def test_csv_formats():
     ev = MuHatEvaluator((0, 2), 4)
-    samples = q_function(ev, [0, 1], [0.0, 1 / 3], level=1)
-    text = q_samples_csv(samples)
+    grid = [0.0, 1 / 3]
+    text = q_samples_csv(grid, q_function(ev, [0, 1], grid), 1)
     lines = text.strip().split("\n")
     assert lines[0] == "xi,q,level"
     assert lines[2].startswith("0.33333333333333331,")  # 17 significant digits
@@ -196,7 +211,7 @@ def test_float_points_are_refused():
         with pytest.raises(InvalidInput, match="not a rational value"):
             gram_matrix(ev, points)
     # Grid values stay floats.
-    assert [s.xi for s in q_function(ev, [0, F(1, 4)], [0.0, 0.5])] == [0.0, 0.5]
+    assert q_function(ev, [0, F(1, 4)], [0.0, 0.5]).shape == (2,)
     np.testing.assert_array_equal(gram_matrix(ev, [0, "1/4"]), gram_matrix(ev, [0, F(1, 4)]))
 
 
@@ -242,8 +257,8 @@ def gram_all_pairs(ev, points):
 @pytest.mark.parametrize(
     "digits,n_ratio,points",
     [
-        ((0, 2), 4, spectrum_truncation(JP, 5).points),
-        ((0, 1, 2), 6, spectrum_truncation(HadamardTriple(6, (0, 1, 2), (0, 2, 4)), 3).points),
+        ((0, 2), 4, spectrum_truncation(JP, 5)),
+        ((0, 1, 2), 6, spectrum_truncation(HadamardTriple(6, (0, 1, 2), (0, 2, 4)), 3)),
         ((0, 1, 8, 9), 4, dj_example_spectrum(8)),
         ((0, 1), 4, dj_example_spectrum(5)),
         ((0, 1, 2, 3), 4, range(100)),

@@ -23,9 +23,9 @@ JP = HadamardTriple(4, (0, 2), (0, 1))
 
 
 def test_truncation_examples():
-    assert spectrum_truncation(JP, 0).points == (0,)
-    assert spectrum_truncation(JP, 2).points == (0, 1, 4, 5)
-    assert spectrum_truncation(JP, 3).points == (0, 1, 4, 5, 16, 17, 20, 21)
+    assert spectrum_truncation(JP, 0) == (0,)
+    assert spectrum_truncation(JP, 2) == (0, 1, 4, 5)
+    assert spectrum_truncation(JP, 3) == (0, 1, 4, 5, 16, 17, 20, 21)
 
 
 def test_truncation_matches_direct_enumeration():
@@ -35,13 +35,13 @@ def test_truncation_matches_direct_enumeration():
         for l1 in (0, 1)
         for l2 in (0, 1)
     )
-    assert list(spectrum_truncation(JP, 3).points) == expected
+    assert list(spectrum_truncation(JP, 3)) == expected
 
 
 def test_truncation_nesting():
-    prev = spectrum_truncation(JP, 0).points
+    prev = spectrum_truncation(JP, 0)
     for n in range(1, 6):
-        cur = spectrum_truncation(JP, n).points
+        cur = spectrum_truncation(JP, n)
         assert set(prev) <= set(cur)
         assert len(cur) == 2**n
         prev = cur
@@ -54,9 +54,9 @@ def test_truncation_rejects_non_hadamard():
 
 def test_truncation_size_cap():
     assert MAX_TRUNCATION_POINTS == 2**16
-    assert len(spectrum_truncation(HadamardTriple(4, (0, 1, 2, 3), (0, 1, 2, 3)), 8).points) == 2**16
+    assert len(spectrum_truncation(HadamardTriple(4, (0, 1, 2, 3), (0, 1, 2, 3)), 8)) == 2**16
     point = HadamardTriple(4, (0,), (1,))
-    assert spectrum_truncation(point, 16).points == ((4**16 - 1) // 3,)
+    assert spectrum_truncation(point, 16) == ((4**16 - 1) // 3,)
     for triple, level in ((JP, 17), (HadamardTriple(6, (0, 1, 2), (0, 2, 4)), 10**9), (point, 17), (point, 10**9)):
         with pytest.raises(InvalidInput, match="exceeds the limit"):
             spectrum_truncation(triple, level)
@@ -71,12 +71,12 @@ def test_truncations_are_bizero_across_triples():
     ]
     for n, d, l in cases:
         ht = HadamardTriple(n, d, l)
-        points = spectrum_truncation(ht, 3).points
+        points = spectrum_truncation(ht, 3)
         assert is_bizero_set(points, d, n).is_bizero, (n, d, l)
 
 
 def test_is_bizero_examples():
-    assert is_bizero_set(spectrum_truncation(JP, 3).points, (0, 2), 4).is_bizero
+    assert is_bizero_set(spectrum_truncation(JP, 3), (0, 2), 4).is_bizero
     report = is_bizero_set([0, 1, 2], (0, 2), 4)
     assert not report.is_bizero
     assert report.violating_pair == (F(2), F(0))
@@ -115,6 +115,12 @@ def test_dj_spectrum_examples():
     assert dj_example_spectrum(0) == [F(0), F(1, 4)]
     assert dj_example_spectrum(1) == [F(-1), F(-3, 4), F(0), F(1, 4), F(1), F(5, 4)]
     assert len(dj_example_spectrum(2)) == 10
+
+
+def test_dj_spectrum_point_cap():
+    assert len(dj_example_spectrum(16383)) == MAX_TRUNCATION_POINTS - 2
+    with pytest.raises(InvalidInput, match="over the limit"):
+        dj_example_spectrum(16384)  # 65,538 points
 
 
 def test_dj_spectrum_differences_lie_in_zero_set():
@@ -211,7 +217,7 @@ def test_greedy_bizero_matches_fraction_greedy(digits, n_ratio, bound, max_count
 
 
 def test_level10_truncation_bizero_and_breaking_point():
-    points = spectrum_truncation(JP, 10).points
+    points = spectrum_truncation(JP, 10)
     assert len(points) == 1024
     assert is_bizero_set(points, (0, 2), 4).is_bizero
     # Z(mu_hat) for (4, {0,2}) holds the integers of even 2-adic valuation.
