@@ -64,7 +64,6 @@ from .classify import (
 )
 from .spectra import (
     BiZeroReport,
-    DegenerateTriple,
     dj_example_spectrum,
     greedy_bizero,
     is_bizero_set,

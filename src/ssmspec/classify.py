@@ -111,8 +111,7 @@ class Verdict:
     rho_text: str
     digit_text: tuple[str, ...]
     weight_text: Optional[tuple[str, ...]]
-    normalized: Optional[NormalizedDigits] = None
-    witness: Optional[IrreducibleWitness] = None
+    normalized: Union[NormalizedDigits, IrreducibleWitness, None] = None
     certificate: Optional[Certificate] = None
 
     @property
@@ -136,8 +135,6 @@ class Verdict:
         }
         if self.normalized is not None:
             out["normalized"] = self.normalized.to_json()
-        if self.witness is not None:
-            out["normalized"] = self.witness.to_json()
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
         return out
@@ -164,18 +161,20 @@ def hu_lau_infinite_bizero(rho: RhoLike) -> bool:
 class DigitFacts:
     """Everything `classify` reads from a digit set; no part depends on rho.
 
-    ``normalized`` or ``witness`` is set for one to four digits (the other
-    is None); five or more digits keep only their text and count, and
-    classify as Unsupported.  ``has_zeros`` says whether the mask zero set
-    is nonempty, and ``shape`` is the four-digit shape when it is.
+    ``normalized`` is what `normalize_digits` returned for one to four
+    digits; five or more digits keep only their text, and classify as
+    Unsupported.  ``has_zeros`` says whether the mask zero set is nonempty,
+    and ``shape`` is the four-digit shape when it is.
     """
 
     digit_text: tuple[str, ...]
-    cardinality: int
-    normalized: Optional[NormalizedDigits] = None
-    witness: Optional[IrreducibleWitness] = None
+    normalized: Union[NormalizedDigits, IrreducibleWitness, None] = None
     has_zeros: bool = False
     shape: Optional[FourDigitShape] = None
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.digit_text)
 
     @property
     def supported(self) -> bool:
@@ -191,15 +190,14 @@ def digit_facts(digits: Union[DigitFacts, DigitSet, Iterable]) -> DigitFacts:
     raw = digits.digits if isinstance(digits, DigitSet) else tuple(as_digit(d) for d in digits)
     digit_text = tuple(str(d) for d in raw)
     try:
-        dset = DigitSet(raw)
+        norm = normalize_digits(DigitSet(raw))
     except Unsupported:
-        return DigitFacts(digit_text, len(raw))
-    norm = normalize_digits(dset)
+        return DigitFacts(digit_text)
     if isinstance(norm, IrreducibleWitness):
-        return DigitFacts(digit_text, dset.cardinality, witness=norm)
+        return DigitFacts(digit_text, norm)
     has_zeros = norm.cardinality > 1 and not zero_set(norm).is_empty
     shape = four_digit_shape(norm.integers) if has_zeros and norm.cardinality == 4 else None
-    return DigitFacts(digit_text, dset.cardinality, normalized=norm, has_zeros=has_zeros, shape=shape)
+    return DigitFacts(digit_text, norm, has_zeros, shape)
 
 
 def classify(
@@ -222,9 +220,6 @@ def classify(
 def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
     """The rule in rho: weights, then the verdict from the digit facts and N."""
     rho_text = str(ratio)
-    if not facts.supported:
-        return Verdict(Reason.UNSUPPORTED, ("five-plus",), rho_text, facts.digit_text, None)
-
     # No weights means uniform weights, which need no vector and no check.
     wvec = weight_text = None
     if weights is not None:
@@ -233,29 +228,31 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
             raise InvalidInput("weight count must match digit count")
         weight_text = wvec.display()
 
-    def verdict(reason, citations, **kw):
-        return Verdict(reason, citations, rho_text, facts.digit_text, weight_text, **kw)
+    def verdict(reason, citations, certificate=None, normalized=facts.normalized):
+        return Verdict(reason, citations, rho_text, facts.digit_text, weight_text, normalized, certificate)
+
+    if not facts.supported:
+        return verdict(Reason.UNSUPPORTED, ("five-plus",))
 
     if wvec is not None and not wvec.is_uniform:
-        return verdict(Reason.UNEQUAL_WEIGHTS, ("equal-weights",))
+        return verdict(Reason.UNEQUAL_WEIGHTS, ("equal-weights",), normalized=None)
 
     card = facts.cardinality
-    if facts.witness is not None:
+    if isinstance(facts.normalized, IrreducibleWitness):
         if card == 4:
-            return verdict(Reason.IRRATIONAL_DIGITS, ("irrational-digits",), witness=facts.witness)
-        return verdict(Reason.EMPTY_ZERO_SET, ("card3-irrational", "empty-zero-set"), witness=facts.witness)
+            return verdict(Reason.IRRATIONAL_DIGITS, ("irrational-digits",))
+        return verdict(Reason.EMPTY_ZERO_SET, ("card3-irrational", "empty-zero-set"))
 
-    norm = facts.normalized
     if card == 1:
-        return verdict(Reason.OK, ("dirac",), normalized=norm, certificate=Dirac())
+        return verdict(Reason.OK, ("dirac",), Dirac())
 
     if not facts.has_zeros:
         cites = ("parity", "empty-zero-set") if card == 4 else ("card3-residues", "empty-zero-set")
-        return verdict(Reason.EMPTY_ZERO_SET, cites, normalized=norm)
+        return verdict(Reason.EMPTY_ZERO_SET, cites)
 
     n_ratio = ratio.reciprocal_integer()
     if n_ratio is None:
-        return verdict(Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",), normalized=norm)
+        return verdict(Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",))
 
     if card < 4:
         # Two or three digits with a nonempty zero set: spectral iff card | N,
@@ -263,28 +260,24 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
         rule = "bernoulli" if card == 2 else "card3"
         if n_ratio % card:
             reason = Reason.N_ODD if card == 2 else Reason.CARD3_N_NOT_DIVISIBLE_BY_3
-            return verdict(reason, (rule, "zero-containment"), normalized=norm)
-        triple = HadamardTriple(n_ratio, norm.integers, tuple(j * n_ratio // card for j in range(card)))
+            return verdict(reason, (rule, "zero-containment"))
+        triple = HadamardTriple(n_ratio, facts.normalized.integers, tuple(j * n_ratio // card for j in range(card)))
         if not triple.verify():
             raise InternalInconsistency(f"{card}-digit certificate failed verification")
-        return verdict(Reason.OK, (rule,), normalized=norm, certificate=triple)
+        return verdict(Reason.OK, (rule,), triple)
 
     # Four digits with a nonempty zero set: exactly two of the nonzero digits
     # are odd, and the classification runs on the 2-adic valuations.
     if n_ratio % 2:
-        return verdict(Reason.N_ODD, ("card4", "zero-containment"), normalized=norm)
+        return verdict(Reason.N_ODD, ("card4", "zero-containment"))
     shape = facts.shape
     if shape.t1 != shape.t2:
-        return verdict(Reason.T_DISTINCT, ("card4", "t-distinct"), normalized=norm)
+        return verdict(Reason.T_DISTINCT, ("card4", "t-distinct"))
     beta, m = val2(n_ratio)
     if shape.t1 % beta == 0:
-        return verdict(Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"), normalized=norm)
-    k, r = divmod(shape.t1, beta)
-    dec = StructureDecomposition(
-        a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m, k=k, r=r
-    )
-    pf = construct_product_form(dec)
-    return verdict(Reason.OK, ("card4", "product-form"), normalized=norm, certificate=pf)
+        return verdict(Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"))
+    dec = StructureDecomposition(a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m)
+    return verdict(Reason.OK, ("card4", "product-form"), construct_product_form(dec))
 
 
 def explain(v: Verdict) -> str:
@@ -293,13 +286,12 @@ def explain(v: Verdict) -> str:
         f"input: rho = {v.rho_text}, digits = {{{', '.join(v.digit_text)}}}, "
         f"weights = {'uniform' if v.weight_text is None else ', '.join(v.weight_text)}"
     ]
-    if v.normalized is not None:
-        ints = ", ".join(str(n) for n in v.normalized.integers)
-        lines.append(f"normalized: scale {v.normalized.scale}, integer digits {{{ints}}}")
-    if v.witness is not None:
-        lines.append(
-            f"irrational ratio witnessed: {v.witness.numerator} / {v.witness.denominator}"
-        )
+    norm = v.normalized
+    if isinstance(norm, IrreducibleWitness):
+        lines.append(f"irrational ratio witnessed: {norm.numerator} / {norm.denominator}")
+    elif norm is not None:
+        ints = ", ".join(str(n) for n in norm.integers)
+        lines.append(f"normalized: scale {norm.scale}, integer digits {{{ints}}}")
     for key in v.citations:
         lines.append(f"  - {CITATIONS[key]}")
     lines.append(f"outcome: {v.outcome.value} ({v.reason.value})")

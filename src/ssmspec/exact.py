@@ -33,12 +33,20 @@ class InternalInconsistency(RuntimeError):
 RationalLike = Union[Fraction, int, str]
 
 
+def _fraction(text: str) -> Fraction:
+    """The Fraction of well-formed ``"p/q"`` or ``"p"`` text; q = 0 is refused."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidInput(f"zero denominator: {text!r}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into a Fraction, rejecting anything else."""
     s = text.strip()
     if not re.fullmatch(r"-?\d+(/\d+)?", s):
         raise InvalidInput(f"malformed rational: {text!r}")
-    return Fraction(s)
+    return _fraction(s)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -116,9 +124,9 @@ def parse_digit(text: str) -> Digit:
     m = _DIGIT_RE.match(text)
     if m is None or (m.group("rat") is None and "t" not in text):
         raise InvalidInput(f"malformed digit: {text!r}")
-    rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
+    rat = _fraction(m.group("rat")) if m.group("rat") else Fraction(0)
     if "t" in text:
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _fraction(m.group("coef")) if m.group("coef") else Fraction(1)
     else:
         coef = Fraction(0)
     return Digit(rat, coef)

@@ -3,8 +3,8 @@
 A triple (N, D, L) with #D == #L is Hadamard when the #D x #D matrix
 exp(2*pi*i*d*l/N)/sqrt(#D) is unitary, equivalently when the mask of D
 vanishes at (l - l')/N for every pair of distinct rows.  All checks here are
-exact (`zeros.mask_vanishes_at`); the floating-point unitarity cross-check
-lives in the numerics module.
+exact (the pairing rule of `zeros.mask_vanishes`); the floating-point
+unitarity cross-check lives in the numerics module.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class StructureDecomposition:
 
     The digits are {0, a, 2**t * ell, a + 2**t * ell_prime} with a, ell,
     ell_prime odd; the inverse contraction ratio is N = 2**beta * m with m
-    odd, and t = beta*k + r with 0 < r < beta.
+    odd, and beta does not divide t, so t = beta*k + r with 0 < r < beta.
     """
 
     a: int
@@ -111,20 +111,22 @@ class StructureDecomposition:
     ell_prime: int
     beta: int
     m: int
-    k: int
-    r: int
 
     def __post_init__(self) -> None:
         if min(self.a, self.ell, self.ell_prime) < 1 or not all(
             v % 2 for v in (self.a, self.ell, self.ell_prime, self.m)
         ):
             raise InvalidInput("a, ell, ell_prime, m must be positive odd integers")
-        if self.t < 1 or self.beta < 1 or self.k < 0:
-            raise InvalidInput("t >= 1, beta >= 1, k >= 0 required")
-        if not (1 <= self.r <= self.beta - 1):
-            raise InvalidInput("r must lie in 1..beta-1")
-        if self.t != self.beta * self.k + self.r:
-            raise InvalidInput("t = beta*k + r violated")
+        if self.t < 1 or self.beta < 1 or self.t % self.beta == 0:
+            raise InvalidInput("t >= 1 and beta >= 1 required, with beta not dividing t")
+
+    @property
+    def k(self) -> int:
+        return self.t // self.beta
+
+    @property
+    def r(self) -> int:
+        return self.t % self.beta
 
     @property
     def n_ratio(self) -> int:
@@ -136,7 +138,7 @@ class StructureDecomposition:
         return tuple(sorted({0, self.a, b, c}))
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "k": self.k, "r": self.r}
 
 
 @dataclass(frozen=True)

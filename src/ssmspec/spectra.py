@@ -30,10 +30,6 @@ MAX_GREEDY_BOUND = 1 << 16
 MAX_GREEDY_WORK = 1 << 24
 
 
-class DegenerateTriple(ValueError):
-    """Truncation sums collided; the triple cannot generate a spectrum."""
-
-
 def spectrum_truncation(triple: HadamardTriple, level: int) -> tuple[int, ...]:
     """Sorted level-n truncation {sum N**j * l_j : l_j in L, j < n} of a triple's spectrum."""
     if level < 0:
@@ -51,15 +47,17 @@ def spectrum_truncation(triple: HadamardTriple, level: int) -> tuple[int, ...]:
     for _ in range(level):
         points = [p + scale * l for p in points for l in triple.spectrum]
         scale *= triple.n_ratio
-    if len(set(points)) != len(points):
-        raise DegenerateTriple("truncation sums collided")
+    # No sums collide: the mask is 1 at integers, so a verified L has distinct residues mod N.
     return tuple(sorted(points))
 
 
 @dataclass(frozen=True)
 class BiZeroReport:
-    is_bizero: bool
     violating_pair: Optional[tuple[Fraction, Fraction]] = None
+
+    @property
+    def is_bizero(self) -> bool:
+        return self.violating_pair is None
 
 
 class _PairMemo(dict):
@@ -93,8 +91,8 @@ def is_bizero_set(
     for i, low in enumerate(ints):
         for j in range(i + 1, len(ints)):
             if not memo[ints[j] - low]:
-                return BiZeroReport(False, (pts[j], pts[i]))
-    return BiZeroReport(True)
+                return BiZeroReport((pts[j], pts[i]))
+    return BiZeroReport()
 
 
 def greedy_bizero(

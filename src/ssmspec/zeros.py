@@ -156,18 +156,10 @@ def _antipodal_partner(exps: Sequence[int], q: int) -> int | None:
     return None
 
 
-def mask_vanishes_at(digits: Union[NormalizedDigits, Iterable[int]], p: int, q: int) -> bool:
-    """Exact zero test of the mask of integer digits at p/q (q >= 1, any terms).
-
-    Up to four digits: the pairing rule, O(#D**2) integer work for any q.
-    Five or more digits: the cyclotomic route, so q must reduce to <= 512.
-    Non-integral digits are refused (see `exact.integer_digits`).
-    """
-    return _vanishes_at(integer_digits(digits), p, q)
-
-
 def _vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
-    """`mask_vanishes_at` for digits that are already `integer_digits` output."""
+    """Exact zero test of the mask of `integer_digits` output at p/q, q >= 1
+    in any terms: up to four digits by the pairing rule, O(#D**2) integer work
+    for any q; five or more by the cyclotomic route, so q must reduce to <= 512."""
     if len(ints) > 4:
         return mask_value(ints, Fraction(p, q)).is_zero
     exps = [d * p % q for d in ints]
@@ -177,7 +169,7 @@ def _vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
 
 
 def mask_vanishes(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> bool:
-    """Exact zero test of the mask of integer digits at the rational xi."""
+    """Exact zero test of the mask of integer digits (others are refused) at the rational xi."""
     xi = Fraction(xi)
     return _vanishes_at(integer_digits(digits), xi.numerator, xi.denominator)
 

@@ -17,7 +17,7 @@ from ssmspec.classify import (
     explain,
     hu_lau_infinite_bizero,
 )
-from ssmspec.exact import ContractionRatio, DigitSet, InvalidInput, WeightVector
+from ssmspec.exact import ContractionRatio, DigitSet, InvalidInput, IrreducibleWitness, WeightVector
 from ssmspec.hadamard import verify_product_form
 from ssmspec.zeros import zero_set
 
@@ -87,7 +87,7 @@ def test_card4_n_odd():
 def test_irrational_digits():
     v = classify(F(1, 4), ("0", "1", "t", "1+t"))
     assert v.reason is Reason.IRRATIONAL_DIGITS
-    assert v.witness is not None
+    assert isinstance(v.normalized, IrreducibleWitness)
     v = classify(F(1, 4), ("0", "1", "t"))
     assert v.reason is Reason.EMPTY_ZERO_SET
     v = classify(F(1, 4), ("0", "t"))  # proportional: behaves like {0,1}
@@ -216,7 +216,7 @@ def test_digit_facts_reused_over_n_equal_fresh_classify():
         (F(1, 6), ("0", "2t", "4t"), None),
         (F(1, 4), ("0", "1/2", "4", "9/2"), None),
         (F(1, 5), (0, 1, 2, 3, 4), None),
-        (F(1, 5), (0, 1, 2, 3, 4), ("1/2", "1/2")),  # weights unread for five digits
+        (F(1, 5), (0, 1, 2, 3, 4), ("1/2", "1/8", "1/8", "1/8", "1/8")),
         (F(1, 4), (0,), None),
         (F(1, 4), (0, 1, 8, 9), ("1/10", "2/10", "3/10", "4/10")),
         (F(1, 4), (0, 1, 8, 9), ("1/4", "1/4", "1/4", "1/4")),
@@ -232,16 +232,16 @@ def test_digit_facts_equal_fresh_classify_on_special_inputs(rho, digits, weights
 
 def test_digit_facts_record():
     facts = digit_facts((0, 1, 8, 9))
-    assert facts.supported and facts.has_zeros and facts.witness is None
+    assert facts.supported and facts.has_zeros and facts.cardinality == 4
     assert facts.normalized.integers == (0, 1, 8, 9)
     assert (facts.shape.t1, facts.shape.t2) == (3, 3)
     assert digit_facts(facts) is facts
     assert digit_facts(DigitSet.of((0, 1, 8, 9))) == facts
     assert digit_facts((0, 1, 2, 4)).shape is None and not digit_facts((0, 1, 2, 4)).has_zeros
     five = digit_facts((0, 1, 2, 3, 4))
-    assert not five.supported and five.normalized is None and five.witness is None
+    assert not five.supported and five.normalized is None and five.cardinality == 5
     assert five.digit_text == ("0", "1", "2", "3", "4")
-    assert digit_facts(("0", "1", "t", "1+t")).witness is not None
+    assert isinstance(digit_facts(("0", "1", "t", "1+t")).normalized, IrreducibleWitness)
 
 
 def test_digit_facts_keep_refusals():
@@ -256,6 +256,16 @@ def test_digit_facts_keep_refusals():
     for digits in ((0, 1, 1, 2, 3), (1, 2, 3, 4, 5)):
         with pytest.raises(InvalidInput):
             classify(F(1, 4), digits)
+
+
+def test_five_digits_read_their_weights():
+    five = (0, 1, 2, 3, 4)
+    v = classify(F(1, 5), five, ("1/2", "1/8", "1/8", "1/8", "1/8"))
+    assert v.reason is Reason.UNSUPPORTED
+    assert v.to_json()["input"]["weights"] == ["1/2", "1/8", "1/8", "1/8", "1/8"]
+    assert "weights = 1/2, 1/8, 1/8, 1/8, 1/8" in explain(v)
+    with pytest.raises(InvalidInput, match="weight count"):
+        classify(F(1, 5), five, ("1/2", "1/2"))
 
 
 # ------------------------------------------------------- scale invariance

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssmspec.cli import main
 from ssmspec.zeros import mask_value
@@ -83,6 +87,57 @@ def test_argument_parse_errors_exit_64(capsys, argv, message):
         main(argv)
     assert exc.value.code == 64
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--rho", "1/0", "--digits", "0,1"],
+        ["classify", "--rho", "1/4", "--digits", "0,1/0"],
+        ["classify", "--rho", "1/4", "--digits", "0,1/0*t"],
+        ["classify", "--rho", "1/4", "--digits", "0,1,2,3", "--weights", "1/0,1,1,1"],
+        ["qdump", "--rho", "1/4", "--digits", "0,2", "--grid", "1/0"],
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "error: argument" in err and "zero denominator: '1/0'" in err
+
+
+# Text in the input language: numbers of at most three digits between runs of
+# the other characters, so that no generated input asks for much work.
+_CLI_TEXT = st.from_regex(r"[ /,+*t-]{0,2}(?:\d{1,3}[ /,+*t-]{1,2}){0,4}\d{0,3}", fullmatch=True)
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=100, deadline=None)
+@example("1/0", "0,1", None)
+@example("1/4", "0,1/0", None)
+@example("1/4", "0,1,2,3", "1/0,1,1,1")
+@given(_CLI_TEXT, _CLI_TEXT, st.none() | _CLI_TEXT)
+def test_classify_exits_with_a_documented_code_on_any_text(rho, digits, weights):
+    argv = ["classify", f"--rho={rho}", f"--digits={digits}"]
+    if weights is not None:
+        argv.append(f"--weights={weights}")
+    assert _exit_code(argv) in (0, 1, 2, 64)
+
+
+@settings(max_examples=60, deadline=None)
+@example("1/0")
+@given(_CLI_TEXT)
+def test_qdump_grid_exits_with_a_documented_code_on_any_text(grid):
+    argv = ["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "2", f"--grid={grid}"]
+    assert _exit_code(argv) in (0, 1, 2, 64)
 
 
 @pytest.mark.parametrize(
@@ -281,6 +336,15 @@ def test_triple_search_above_the_cap_exits_2(capsys, command):
 def test_qdump_triple_needs_integer_digits(capsys):
     code, out, err = run(capsys, "qdump", "--rho", "1/4", "--digits", "0,1/2")
     assert code == 2 and out == "" and "integer values required" in err
+
+
+def test_five_digits_echo_their_weights(capsys):
+    argv = ["classify", "--rho", "1/5", "--digits", "0,1,2,3,4"]
+    code, out, _ = run(capsys, *argv, "--weights", "1/2,1/8,1/8,1/8,1/8")
+    assert code == 2 and json.loads(out)["input"]["weights"] == ["1/2", "1/8", "1/8", "1/8", "1/8"]
+    code, out, err = run(capsys, *argv, "--weights", "1/2,1/2")
+    assert code == 2 and out == ""
+    assert err == "invalid input: weight count must match digit count\n"
 
 
 def test_five_digit_explain_names_fifth_roots(capsys):

@@ -14,6 +14,7 @@ from ssmspec.exact import (
     NormalizedDigits,
     Unsupported,
     WeightVector,
+    as_fraction,
     digit_values,
     integer_digits,
     normalize_digits,
@@ -154,6 +155,18 @@ def test_weight_vector():
         WeightVector.of(["1/2", "1/3"])
     with pytest.raises(InvalidInput):
         WeightVector.of(["1", "0"])
+
+
+def test_zero_denominators_are_refused():
+    for text in ("1/0", "0/0", "-3/00"):
+        for parse in (parse_rational, as_fraction, ContractionRatio.rational):
+            with pytest.raises(InvalidInput, match="zero denominator"):
+                parse(text)
+    for text in ("1/0", "1/0*t", "1 + 2/0 t", "1/0 + t"):
+        with pytest.raises(InvalidInput, match="zero denominator"):
+            parse_digit(text)
+    with pytest.raises(InvalidInput, match="zero denominator"):
+        WeightVector.of(["1/0", "1"])
 
 
 def test_parsing_round_trips():

@@ -148,7 +148,7 @@ def test_five_digit_triple_above_512_is_unsupported():
 
 
 def dec_0189():
-    return StructureDecomposition(a=1, t=3, ell=1, ell_prime=1, beta=2, m=1, k=1, r=1)
+    return StructureDecomposition(a=1, t=3, ell=1, ell_prime=1, beta=2, m=1)
 
 
 def test_construct_product_form_dj():
@@ -162,7 +162,7 @@ def test_construct_product_form_dj():
 
 
 def test_construct_product_form_0123():
-    dec = StructureDecomposition(a=1, t=1, ell=1, ell_prime=1, beta=2, m=1, k=0, r=1)
+    dec = StructureDecomposition(a=1, t=1, ell=1, ell_prime=1, beta=2, m=1)
     pf = construct_product_form(dec)
     assert pf.a_set == (0, 1) and pf.b_sets == ((0, 2), (0, 2))
     assert pf.l1 == (0, 2) and pf.l2 == (0, 1)
@@ -255,14 +255,17 @@ def test_product_form_degenerate_is_plain_triple():
 
 def test_structure_decomposition_validation():
     with pytest.raises(InvalidInput):
-        StructureDecomposition(a=2, t=3, ell=1, ell_prime=1, beta=2, m=1, k=1, r=1)
-    with pytest.raises(InvalidInput):
-        StructureDecomposition(a=1, t=3, ell=1, ell_prime=1, beta=2, m=1, k=0, r=1)
-    with pytest.raises(InvalidInput):
-        StructureDecomposition(a=1, t=2, ell=1, ell_prime=1, beta=2, m=1, k=1, r=0)
+        StructureDecomposition(a=2, t=3, ell=1, ell_prime=1, beta=2, m=1)
+    for t, beta in ((2, 2), (3, 1), (0, 2), (3, 0)):
+        with pytest.raises(InvalidInput):
+            StructureDecomposition(a=1, t=t, ell=1, ell_prime=1, beta=beta, m=1)
     dec = dec_0189()
     assert dec.digit_tuple() == (0, 1, 8, 9)
     assert dec.n_ratio == 4
+    assert (dec.k, dec.r) == (1, 1)
+    assert list(StructureDecomposition(a=1, t=7, ell=1, ell_prime=1, beta=3, m=5).to_json().items()) == [
+        ("a", 1), ("t", 7), ("ell", 1), ("ell_prime", 1), ("beta", 3), ("m", 5), ("k", 2), ("r", 1)
+    ]
 
 
 def test_direct_sum():

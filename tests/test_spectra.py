@@ -2,12 +2,12 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmspec.cli import main
 from ssmspec.exact import InvalidInput
-from ssmspec.hadamard import HadamardTriple
+from ssmspec.hadamard import HadamardTriple, find_spectrum_set
 from ssmspec.spectra import (
     MAX_GREEDY_BOUND,
     MAX_GREEDY_WORK,
@@ -26,6 +26,25 @@ def test_truncation_examples():
     assert spectrum_truncation(JP, 0) == (0,)
     assert spectrum_truncation(JP, 2) == (0, 1, 4, 5)
     assert spectrum_truncation(JP, 3) == (0, 1, 4, 5, 16, 17, 20, 21)
+
+
+@st.composite
+def verified_triples(draw):
+    """A Hadamard triple on small digits: the least spectrum set, each point
+    moved by its own multiple of N (which keeps the triple Hadamard)."""
+    n_ratio = draw(st.integers(2, 12))
+    digits = (0, *draw(st.lists(st.integers(1, 20), max_size=3, unique=True)))
+    found = find_spectrum_set(n_ratio, digits)
+    assume(found is not None)
+    return HadamardTriple(n_ratio, digits, tuple(l + n_ratio * draw(st.integers(-3, 3)) for l in found))
+
+
+@settings(max_examples=150, deadline=None)
+@given(verified_triples(), st.integers(0, 4))
+def test_verified_truncations_have_distinct_points(triple, level):
+    assert triple.verify()
+    points = spectrum_truncation(triple, level)
+    assert len(set(points)) == len(points) == len(triple.spectrum) ** level
 
 
 def test_truncation_matches_direct_enumeration():

@@ -20,8 +20,8 @@ from ssmspec.zeros import (
     ZeroSet,
     cyclotomic_poly,
     mask_value,
+    _vanishes_at,
     mask_vanishes,
-    mask_vanishes_at,
     mask_zero_batch,
     mask_zero_set,
     mu_zero_member,
@@ -129,7 +129,7 @@ def test_pairing_rule_on_unreduced_points():
         for q in range(1, 61):
             for p in range(-q, 2 * q):
                 for k in (1, 2, 3):
-                    assert mask_vanishes_at(digits, k * p, k * q) == mask_vanishes(digits, F(p, q))
+                    assert _vanishes_at(digits, k * p, k * q) == mask_vanishes(digits, F(p, q))
 
 
 def _mp_mask_abs(digits, xi):
@@ -168,7 +168,7 @@ def test_three_routes_agree_on_criterion_4_grid():
                 ps = np.arange(1, q + 1)
                 symbolic = zero_set_member_batch(zs, q, ps)
                 cyclotomic = mask_zero_batch(nd.integers, q, ps)
-                rule = np.array([mask_vanishes_at(nd.integers, p, q) for p in range(1, q + 1)])
+                rule = np.array([mask_vanishes(nd.integers, F(p, q)) for p in range(1, q + 1)])
                 assert np.array_equal(symbolic, cyclotomic) and np.array_equal(rule, cyclotomic), (digits, q)
 
 
@@ -418,14 +418,14 @@ def test_scaled_residues_validation():
         ScaledResidues(F(1, 2), 1, frozenset({0}))
 
 
-def test_mask_vanishes_at_refuses_non_integer_digits():
+def test_mask_vanishes_refuses_non_integer_digits():
     # The mask of {0, 5/2} vanishes at 1/5; the integer test must refuse it,
     # not answer for some other digit set.
     for digits in [(0, 2.5), (0, F(5, 2)), (0, 1.0)]:
         with pytest.raises(InvalidInput):
-            mask_vanishes_at(digits, 1, 5)
-    assert mask_vanishes_at(norm([0, F(5, 2)]), 1, 2)
-    assert mask_vanishes_at((0, 5), 1, 10) and mask_vanishes((0, 5), F(1, 10))
+            mask_vanishes(digits, F(1, 5))
+    assert mask_vanishes(norm([0, F(5, 2)]), F(1, 2))
+    assert mask_vanishes((0, 5), F(1, 10))
 
 
 def test_zero_set_cache_is_bounded():
