@@ -188,9 +188,9 @@ def digit_facts(digits: Union[DigitFacts, DigitSet, Iterable]) -> DigitFacts:
     if isinstance(digits, DigitFacts):
         return digits
     raw = digits.digits if isinstance(digits, DigitSet) else tuple(as_digit(d) for d in digits)
-    digit_text = tuple(str(d) for d in raw)
+    digit_text = tuple(map(str, raw))
     try:
-        norm = normalize_digits(DigitSet(raw))
+        norm = normalize_digits(digits if isinstance(digits, DigitSet) else DigitSet(raw))
     except Unsupported:
         return DigitFacts(digit_text)
     if isinstance(norm, IrreducibleWitness):

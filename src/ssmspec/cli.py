@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -103,12 +103,19 @@ def _tolerance() -> float:
     return tol
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+@contextmanager
+def _output(out_path: Optional[str]):
+    """The --out file, opened for text, or stdout when no path is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out_path: Optional[str]) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------- classify
@@ -196,17 +203,18 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], list[str]]:
         label = ",".join(str(d) for d in digits)
         for n_ratio, ratio in ratios:
             verdict = classify(ratio, facts)
+            outcome = verdict.outcome
             cert_ok = None if verdict.certificate is None else verdict.certificate.verify()
             rows.append(
                 {
                     "digits": label,
                     "N": n_ratio,
-                    "outcome": verdict.outcome.value,
+                    "outcome": outcome.value,
                     "reason": verdict.reason.value,
                     "certificate_ok": "" if cert_ok is None else str(cert_ok).lower(),
                 }
             )
-            if verdict.outcome is Outcome.SPECTRAL:
+            if outcome is Outcome.SPECTRAL:
                 if cert_ok is not True:
                     violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
                 if cfg.cardinality == 4:
@@ -215,20 +223,20 @@ def run_scan(cfg: ScanConfig) -> tuple[list[dict], list[str]]:
     return rows, violations
 
 
-def _rows_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["digits", "N", "outcome", "reason", "certificate_ok"], lineterminator="\n"
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+# The columns of the scan table: the keys of a `run_scan` row, in order.
+_SCAN_FIELDS = ("digits", "N", "outcome", "reason", "certificate_ok")
 
 
 def cmd_scan(args) -> int:
     rows, violations = run_scan(ScanConfig(args.cardinality, args.digit_bound, args.n_min, args.n_max))
-    text = json.dumps(rows, indent=2) + "\n" if args.format == "json" else _rows_csv(rows)
-    _emit(text, args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            fh.write(json.dumps(rows, indent=2) + "\n")
+        else:
+            # Row by row into the output: the table is never held as one string.
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_SCAN_FIELDS)
+            writer.writerows(row.values() for row in rows)
     for violation in violations:
         print(f"violation: {violation}", file=sys.stderr)
     return EXIT_VIOLATION if violations else EXIT_OK

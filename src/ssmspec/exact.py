@@ -78,12 +78,13 @@ _DIGIT_RE = re.compile(
 class Digit:
     """A digit value ``rational + tau_coeff * t`` for one shared irrational t.
 
-    ``tau_coeff == 0`` gives an ordinary rational digit.  Components must be
+    ``tau_coeff == 0`` gives an ordinary rational digit.  Components are ints
+    or Fractions (`as_digit` keeps integral values as ints) and must be
     non-negative so the digit is non-negative for every positive ``t``.
     """
 
-    rational: Fraction
-    tau_coeff: Fraction = Fraction(0)
+    rational: Union[int, Fraction]
+    tau_coeff: Union[int, Fraction] = 0
 
     def __post_init__(self) -> None:
         if self.rational < 0 or self.tau_coeff < 0:
@@ -91,13 +92,13 @@ class Digit:
 
     @property
     def is_rational(self) -> bool:
-        return self.tau_coeff == 0
+        return not self.tau_coeff
 
     @property
     def is_zero(self) -> bool:
-        return self.rational == 0 and self.tau_coeff == 0
+        return not self.rational and not self.tau_coeff
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
+    def sort_key(self) -> tuple[Union[int, Fraction], Union[int, Fraction]]:
         # Convention: t sorts above every rational (t is "large").
         return (self.tau_coeff, self.rational)
 
@@ -105,10 +106,10 @@ class Digit:
         return Digit(self.rational * c, self.tau_coeff * c)
 
     def __str__(self) -> str:
-        if self.tau_coeff == 0:
+        if not self.tau_coeff:
             return str(self.rational)
         tau = f"{self.tau_coeff}*t"
-        if self.rational == 0:
+        if not self.rational:
             return tau
         return f"{self.rational} + {tau}"
 
@@ -132,12 +133,20 @@ def parse_digit(text: str) -> Digit:
     return Digit(rat, coef)
 
 
+def _integral(v: Fraction) -> Union[int, Fraction]:
+    return v.numerator if v.denominator == 1 else v
+
+
 def as_digit(x: DigitLike) -> Digit:
+    """A Digit from a Digit, digit text or an exact rational; an integral
+    rational gives an int component, as in `digit_values`."""
+    if type(x) is int:
+        return Digit(x)
     if isinstance(x, Digit):
         return x
     if isinstance(x, str):
         return parse_digit(x)
-    return Digit(as_fraction(x))
+    return Digit(_integral(as_fraction(x)))
 
 
 def _digit_value(x: DigitLike) -> Union[int, Fraction]:
@@ -145,8 +154,7 @@ def _digit_value(x: DigitLike) -> Union[int, Fraction]:
         if not x.is_rational:
             raise InvalidInput(f"digit {x} carries the symbolic t, which only classify accepts")
         x = x.rational
-    v = as_fraction(x)
-    return v.numerator if v.denominator == 1 else v
+    return _integral(as_fraction(x))
 
 
 def digit_values(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tuple[Union[int, Fraction], ...]:
@@ -257,10 +265,11 @@ class IrreducibleWitness:
         }
 
 
-def _normalize_rationals(values: Sequence[Fraction]) -> tuple[Fraction, tuple[int, ...]]:
-    """Scale positive rationals {v_i} to coprime integers; returns (alpha, C)."""
+def _normalize_rationals(values: Sequence[Union[int, Fraction]]) -> tuple[Fraction, tuple[int, ...]]:
+    """Scale positive rationals {v_i} (ints or Fractions) to coprime integers
+    in integer arithmetic; returns (alpha, C) with alpha a Fraction."""
     lcm = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * lcm) for v in values]
+    ints = [v.numerator * (lcm // v.denominator) for v in values]
     g = math.gcd(*ints)
     alpha = Fraction(g, lcm)
     return alpha, tuple(n // g for n in ints)
@@ -290,7 +299,7 @@ def normalize_digits(d: DigitSet) -> Union[NormalizedDigits, IrreducibleWitness]
 
     # base has the least t-coefficient, which is positive: else the test above failed.
     base = nonzero[0]
-    alpha, ints = _normalize_rationals([v.tau_coeff / base.tau_coeff for v in nonzero])
+    alpha, ints = _normalize_rationals([Fraction(v.tau_coeff, base.tau_coeff) for v in nonzero])
     return NormalizedDigits(base.scaled(alpha), (0, *ints))
 
 

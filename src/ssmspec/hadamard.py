@@ -22,10 +22,13 @@ MAX_SEARCH_N = 1 << 16
 
 def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[int]) -> bool:
     """Exact decision: does (N, D, L) form a Hadamard triple?"""
+    return _is_hadamard(n_ratio, integer_digits(digits), integer_digits(spectrum))
+
+
+def _is_hadamard(n_ratio: int, d: tuple[int, ...], l: tuple[int, ...]) -> bool:
+    """`is_hadamard_triple` on `integer_digits` output, which certificates store."""
     if n_ratio < 2:
         raise InvalidInput("N must be >= 2")
-    d = integer_digits(digits)
-    l = integer_digits(spectrum)
     if len(d) != len(l):
         raise InvalidInput(f"#D = {len(d)} and #L = {len(l)} must agree")
     return all(_vanishes_at(d, l1 - l2, n_ratio) for i, l1 in enumerate(l) for l2 in l[i + 1 :])
@@ -46,7 +49,7 @@ class HadamardTriple:
             raise InvalidInput("digit and spectrum sets must have equal size")
 
     def verify(self) -> bool:
-        return is_hadamard_triple(self.n_ratio, self.digits, self.spectrum)
+        return _is_hadamard(self.n_ratio, self.digits, self.spectrum)
 
     def to_json(self) -> dict:
         return {
@@ -148,9 +151,10 @@ class ProductForm:
     The encoded digit set is the disjoint union over a in A of a + N*B_a.
     Verification demands that (N, A, L1) and every (N, B_a, L2) be Hadamard
     triples, and that every (N, A (+) B_a, L1 (+) L2) be one as well, with
-    both direct sums collision-free.  ``decomposition`` is the structure
-    decomposition the form was built from (`construct_product_form`), if any;
-    it is reported but takes no part in equality or verification.
+    both direct sums collision-free.  The blocks are coerced by
+    `integer_digits` when the form is built.  ``decomposition`` is the
+    structure decomposition the form was built from (`construct_product_form`),
+    if any; it is reported but takes no part in equality or verification.
     """
 
     n_ratio: int
@@ -161,6 +165,10 @@ class ProductForm:
     decomposition: StructureDecomposition | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "a_set", integer_digits(self.a_set))
+        object.__setattr__(self, "b_sets", tuple(map(integer_digits, self.b_sets)))
+        object.__setattr__(self, "l1", integer_digits(self.l1))
+        object.__setattr__(self, "l2", integer_digits(self.l2))
         if len(self.a_set) != len(self.b_sets):
             raise InvalidInput("need one B block per element of A")
 
@@ -209,18 +217,18 @@ def verify_product_form(pf: ProductForm) -> bool:
     """Exact check of every product-form condition; False on any failure."""
     if pf.reconstruct_digits() is None:
         return False
-    if not is_hadamard_triple(pf.n_ratio, pf.a_set, pf.l1):
+    if not _is_hadamard(pf.n_ratio, pf.a_set, pf.l1):
         return False
     lsum = direct_sum(pf.l1, pf.l2)
     if lsum is None:
         return False
     for bs in pf.b_sets:
-        if not is_hadamard_triple(pf.n_ratio, bs, pf.l2):
+        if not _is_hadamard(pf.n_ratio, bs, pf.l2):
             return False
         dsum = direct_sum(pf.a_set, bs)
         if dsum is None:
             return False
-        if not is_hadamard_triple(pf.n_ratio, dsum, lsum):
+        if not _is_hadamard(pf.n_ratio, dsum, lsum):
             return False
     return True
 

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,16 @@ def test_digit_facts_record():
     assert not five.supported and five.normalized is None and five.cardinality == 5
     assert five.digit_text == ("0", "1", "2", "3", "4")
     assert isinstance(digit_facts(("0", "1", "t", "1+t")).normalized, IrreducibleWitness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 40), max_size=3, unique=True))
+def test_digit_facts_agree_for_every_form_of_integer_digits(rest):
+    digits = (0, *rest)
+    facts = digit_facts(digits)
+    assert facts.normalized.integers == tuple(sorted(d // (math.gcd(*digits) or 1) for d in digits))
+    for form in (F, str, np.int64):
+        assert digit_facts(tuple(map(form, digits))) == facts, form
 
 
 def test_digit_facts_keep_refusals():

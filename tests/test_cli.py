@@ -1,14 +1,15 @@
 import contextlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from ssmspec.cli import main
+from ssmspec.cli import MAX_SCAN_ROWS, main
 from ssmspec.zeros import mask_value
 
 
@@ -138,6 +139,53 @@ def test_classify_exits_with_a_documented_code_on_any_text(rho, digits, weights)
 def test_qdump_grid_exits_with_a_documented_code_on_any_text(grid):
     argv = ["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "2", f"--grid={grid}"]
     assert _exit_code(argv) in (0, 1, 2, 64)
+
+
+@st.composite
+def _scan_flags(draw):
+    """Scan flags as text, mostly numbers near the accepted ranges; at most
+    one flag is dropped or replaced by other text."""
+    n_min = draw(st.integers(2, 64) | st.integers(-1, 66))
+    flags = {
+        "--cardinality": draw(st.integers(2, 4) | st.integers(-1, 6)),
+        "--digit-bound": draw(st.integers(3, 16) | st.integers(-1, 2) | st.integers(10**4, 10**30)),
+        "--n-min": n_min,
+        "--n-max": n_min + draw(st.integers(-2, 6)),
+        "--format": draw(st.sampled_from(["csv", "json"])),
+    }
+    flags = {flag: str(value) for flag, value in flags.items()}
+    if draw(st.sampled_from([False, False, True])):
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(st.none() | _CLI_TEXT)
+    return flags
+
+
+def _scan_rows(flags):
+    """The row estimate ScanConfig checks, or None when the flags are refused before it."""
+    try:
+        card, bound, n_max = (int(flags[f]) for f in ("--cardinality", "--digit-bound", "--n-max"))
+        n_min = 2 if flags["--n-min"] is None else int(flags["--n-min"])
+    except (TypeError, ValueError):
+        return None
+    if card not in (2, 3, 4) or bound < 3 or not (2 <= n_min <= n_max <= 64):
+        return None
+    return math.comb(bound, card - 1) * (n_max - n_min + 1)
+
+
+_ROWS_48 = {"--cardinality": "4", "--digit-bound": "48", "--n-min": "2", "--n-max": "64", "--format": "csv"}
+
+
+@settings(max_examples=80, deadline=None)
+@example(_ROWS_48)  # 1,124,928 rows, just above MAX_SCAN_ROWS
+@example({**_ROWS_48, "--n-min": "64", "--n-max": "2"})
+@given(_scan_flags())
+def test_scan_exits_with_a_documented_code_on_any_flags(flags):
+    rows = _scan_rows(flags)
+    # Accepted scans stay small; refusals above MAX_SCAN_ROWS cost nothing.
+    assume(rows is None or rows <= 2000 or rows > MAX_SCAN_ROWS)
+    argv = ["scan", *(f"{flag}={value}" for flag, value in flags.items() if value is not None)]
+    code = _exit_code(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 64)
 
 
 @pytest.mark.parametrize(
@@ -430,6 +478,33 @@ def test_scan_normalizes_each_digit_set_once(monkeypatch):
     rows, violations = run_scan(ScanConfig(4, 15, 2, 24))
     assert not violations and len(rows) == 409 * 23
     assert len(calls) == len(enumerate_digit_sets(4, 15)) == 409
+
+
+def test_scan_verifies_each_certificate_again(monkeypatch):
+    # Each Spectral row's product form is verified when it is built and once
+    # more by the scan, through ProductForm.verify.
+    import ssmspec.hadamard as hadamard
+    from ssmspec.cli import ScanConfig, run_scan
+
+    verify_calls, check_calls = [], []
+    verify, check = hadamard.ProductForm.verify, hadamard.verify_product_form
+
+    def counted_verify(pf):
+        verify_calls.append(pf)
+        return verify(pf)
+
+    def counted_check(pf):
+        check_calls.append(pf)
+        return check(pf)
+
+    monkeypatch.setattr(hadamard.ProductForm, "verify", counted_verify)
+    monkeypatch.setattr(hadamard, "verify_product_form", counted_check)
+    rows, violations = run_scan(ScanConfig(4, 15, 2, 24))
+    spectral = sum(row["outcome"] == "Spectral" for row in rows)
+    assert not violations and spectral > 0
+    assert all(row["certificate_ok"] == "true" for row in rows if row["outcome"] == "Spectral")
+    assert len(verify_calls) == spectral
+    assert len(check_calls) == 2 * spectral
 
 
 def test_scan_zero_set_cache_stays_bounded():

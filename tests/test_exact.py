@@ -53,6 +53,23 @@ def test_normalize_tau_proportional():
     assert out.scale == Digit(F(0), F(1))
 
 
+def test_normalize_tau_coefficients_stay_exact():
+    # Integral t-coefficients divide as Fractions, never as floats, whether
+    # they are parsed (Fractions) or given as ints.
+    for digits in (DigitSet.of(["0", "2t", "6t"]), DigitSet((Digit(0), Digit(0, 2), Digit(0, 6)))):
+        out = normalize_digits(digits)
+        assert out.integers == (0, 1, 3)
+        assert [type(n) for n in out.integers] == [int, int, int]
+        assert out.scale == Digit(0, 2) and type(out.scale.tau_coeff) is F
+
+
+def test_integer_digits_stay_ints():
+    assert [type(d.rational) for d in DigitSet.of([0, F(4, 2), np.int64(3)]).digits] == [int, int, int]
+    assert DigitSet.of([0, 1]) == DigitSet.of([F(0), "1"])
+    out = norm([0, 4, 6])
+    assert out.integers == (0, 2, 3) and out.scale == Digit(F(2)) and type(out.scale.rational) is F
+
+
 def test_normalize_mixed_tau_rational_witness():
     out = norm(["0", "1/2", "3*t"])
     assert isinstance(out, IrreducibleWitness)
@@ -79,6 +96,8 @@ def test_digitset_validation():
         DigitSet.of([1, 2])  # no zero
     with pytest.raises(InvalidInput):
         DigitSet.of([0, 1, 1])
+    with pytest.raises(InvalidInput, match="duplicate"):
+        DigitSet.of((0, 1, F(1)))  # an int and a Fraction of one value
     with pytest.raises(InvalidInput, match="duplicate"):
         DigitSet.of([0, 1, 1, 2, 3])  # malformed before it is too large
     with pytest.raises(InvalidInput, match="0 must be a digit"):

@@ -32,6 +32,10 @@ CASES = {
         [*SCAN, "4", "--digit-bound", "15", "--n-max", "64"],
         "1284ab8ddf84069d2cbe46826b9e6bd2edbde4c137b157e45602239026930e3a",
     ),
+    "scan-card4-json": (
+        [*SCAN, "4", "--digit-bound", "15", "--n-max", "24", "--format", "json"],
+        "a51ab3cd203ff3072f95310f38d4878bbeb85bbaa5e67e20e5d2f069e3d6b454",
+    ),
     "scan-card3-json": (
         [*SCAN, "3", "--digit-bound", "9", "--n-max", "12", "--format", "json"],
         "e76b929e495d129df93f9ee4980e4607a8b48bd17cedefded52a52c04f4dffa4",
