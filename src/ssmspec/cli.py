@@ -19,6 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .classify import Outcome, Verdict, classify, digit_facts, explain
 from .exact import (
     ContractionRatio,
@@ -56,6 +58,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse stores `--grid=--` as [] (it strips the `--`); no option takes a list.
+        namespace, extras = super().parse_known_args(args, namespace)
+        for dest, value in vars(namespace).items():
+            if isinstance(value, list):
+                self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+        return namespace, extras
 
 
 def _usage(parse):
@@ -113,17 +123,13 @@ def _output(out_path: Optional[str]):
         yield sys.stdout
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    with _output(out_path) as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------- classify
 
 
 def cmd_classify(args) -> int:
     verdict: Verdict = classify(args.rho, args.digits, args.weights)
-    _emit(json.dumps(verdict.to_json(), indent=2) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(verdict.to_json(), indent=2) + "\n")
     if args.explain:
         print(explain(verdict), file=sys.stderr)
     return EXIT_UNSUPPORTED if verdict.outcome is Outcome.UNSUPPORTED else EXIT_OK
@@ -134,7 +140,8 @@ def cmd_classify(args) -> int:
 
 def cmd_zeros(args) -> int:
     zs = mask_zero_set(args.digits)
-    _emit(json.dumps(zs.to_json(), indent=2) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(zs.to_json(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -273,29 +280,30 @@ def _spectrum_points(args, n_ratio: int):
     return greedy_bizero(args.digits, n_ratio, *numbers)
 
 
-def _require_reciprocal(args) -> int:
+def _numeric_inputs(args) -> tuple[MuHatEvaluator, Sequence]:
+    """The evaluator and the points of a numeric dump, which needs rho = 1/N."""
     n_ratio = args.rho.reciprocal_integer()
     if n_ratio is None:
         raise InvalidInput("numeric dumps need rho = 1/N for an integer N")
-    return n_ratio
+    points = _spectrum_points(args, n_ratio)
+    return MuHatEvaluator(args.digits, n_ratio, _tolerance()), points
 
 
 def cmd_qdump(args) -> int:
-    n_ratio = _require_reciprocal(args)
-    points = _spectrum_points(args, n_ratio)
-    ev = MuHatEvaluator(args.digits, n_ratio, _tolerance())
+    ev, points = _numeric_inputs(args)
     count = int(1 / args.grid)
     check_q_terms(ev, count, len(points))
-    grid = [float(j * args.grid) for j in range(count)]
-    _emit(q_samples_csv(grid, q_function(ev, points, grid), args.level), args.out)
+    grid = np.fromiter((float(j * args.grid) for j in range(count)), dtype=float, count=count)
+    q_values = q_function(ev, points, grid)
+    with _output(args.out) as fh:
+        q_samples_csv(grid, q_values, args.level, fh)
     return EXIT_OK
 
 
 def cmd_gram(args) -> int:
-    n_ratio = _require_reciprocal(args)
-    points = _spectrum_points(args, n_ratio)
-    ev = MuHatEvaluator(args.digits, n_ratio, _tolerance())
-    _emit(gram_csv(gram_matrix(ev, points)), args.out)
+    matrix = gram_matrix(*_numeric_inputs(args))
+    with _output(args.out) as fh:
+        gram_csv(matrix, fh)
     return EXIT_OK
 
 

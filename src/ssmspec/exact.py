@@ -125,12 +125,9 @@ def parse_digit(text: str) -> Digit:
     m = _DIGIT_RE.match(text)
     if m is None or (m.group("rat") is None and "t" not in text):
         raise InvalidInput(f"malformed digit: {text!r}")
-    rat = _fraction(m.group("rat")) if m.group("rat") else Fraction(0)
-    if "t" in text:
-        coef = _fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-    else:
-        coef = Fraction(0)
-    return Digit(rat, coef)
+    rat = m.group("rat") or "0"
+    coef = m.group("coef") or ("1" if "t" in text else "0")
+    return Digit(_integral(_fraction(rat)), _integral(_fraction(coef)))
 
 
 def _integral(v: Fraction) -> Union[int, Fraction]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
@@ -107,14 +107,16 @@ class MuHatEvaluator:
 
 
 # Largest Gram matrix built.  gram_matrix holds a few n*n arrays (the
-# differences, their sort and inverse index, the complex values), so 2,048
-# points peak near 0.23 GB whatever the digits; mu_hat sees only the distinct
-# differences (4,095 for range(2048)).
+# differences, their sort and inverse index, the complex values), and
+# gram_csv renders one row at a time, so `ssmspec gram` at 2,048 points peaks
+# near 0.23 GB whatever the digits; mu_hat sees only the distinct differences
+# (4,095 for range(2048)).
 MAX_GRAM_POINTS = 1 << 11
 # Largest Q function, counted as grid count * points * #D mask terms: the
 # Gram budget above.  power holds a few float arrays of grid count * points,
-# so a Q at the cap peaks near 0.41 GB with one digit, 0.35 GB with two and
-# 0.22 GB with four.
+# and q_samples_csv renders a block of rows at a time, so `ssmspec qdump` at
+# the cap peaks near 0.48 GB with one digit, 0.38 GB with two and 0.24 GB
+# with four.
 MAX_Q_TERMS = 4 * MAX_GRAM_POINTS**2
 
 
@@ -174,24 +176,25 @@ def unitarity_defect(n_ratio: int, digits: Sequence[int], spectrum: Sequence[int
     return float(np.max(np.abs(gram - np.eye(d.size))))
 
 
-def _g17(x: float) -> str:
-    return "%.17g" % x
+# Rows rendered per write of `q_samples_csv`: the grid and the values are
+# converted to Python floats one block at a time, never whole.
+_CSV_BLOCK_ROWS = 1 << 12
 
 
-def q_samples_csv(xi_grid: Sequence[float], q_values: Sequence[float], level: int) -> str:
-    """CSV rendering with header xi,q,level; floats at 17 significant digits."""
-    lines = ["xi,q,level"]
-    for xi, q in zip(xi_grid, q_values):
-        lines.append(f"{_g17(xi)},{_g17(q)},{level}")
-    return "\n".join(lines) + "\n"
+def q_samples_csv(xi_grid: Sequence[float], q_values: Sequence[float], level: int, out: TextIO) -> None:
+    """Write the CSV with header xi,q,level into `out`, floats at 17
+    significant digits."""
+    xi_grid, q_values = np.asarray(xi_grid, dtype=float), np.asarray(q_values, dtype=float)
+    out.write("xi,q,level\n")
+    for start in range(0, len(xi_grid), _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        rows = zip(xi_grid[block].tolist(), q_values[block].tolist())
+        out.writelines("%.17g,%.17g,%s\n" % (xi, q, level) for xi, q in rows)
 
 
-def gram_csv(matrix: np.ndarray) -> str:
-    """CSV rendering with header i,j,re,im; floats at 17 significant digits."""
-    lines = ["i,j,re,im"]
-    n = matrix.shape[0]
-    for i in range(n):
-        for j in range(n):
-            z = matrix[i, j]
-            lines.append(f"{i},{j},{_g17(z.real)},{_g17(z.imag)}")
-    return "\n".join(lines) + "\n"
+def gram_csv(matrix: np.ndarray, out: TextIO) -> None:
+    """Write the CSV with header i,j,re,im into `out` one matrix row at a
+    time, floats at 17 significant digits."""
+    out.write("i,j,re,im\n")
+    for i, row in enumerate(matrix):
+        out.writelines("%d,%d,%.17g,%.17g\n" % (i, j, z.real, z.imag) for j, z in enumerate(row.tolist()))

@@ -85,28 +85,22 @@ def cyclotomic_poly(q: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(q: int) -> tuple[tuple[int, ...], ...]:
-    """Row e is x**e reduced modulo Phi_q, for e in 0..q-1 (exact integers)."""
+def _power_table(q: int) -> np.ndarray:
+    """Row e is x**e reduced modulo Phi_q, for e in 0..q-1 (exact integers,
+    checked to stay well inside int64)."""
     phi = cyclotomic_poly(q)
     deg = len(phi) - 1
     rows = []
     cur = [0] * deg
     cur[0] = 1
     for _ in range(q):
-        rows.append(tuple(cur))
+        rows.append(cur)
         carry = cur[deg - 1]
         cur = [0] + cur[: deg - 1]
         if carry:
             for j in range(deg):
                 cur[j] -= carry * phi[j]
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _power_table(q: int) -> np.ndarray:
-    rows = _power_rows(q)
-    peak = max((abs(c) for row in rows for c in row), default=0)
-    if peak >= _COEFF_BOUND:
+    if max((abs(c) for row in rows for c in row), default=0) >= _COEFF_BOUND:
         raise InternalInconsistency(f"power-table coefficients too large for q={q}")
     return np.array(rows, dtype=np.int64)
 
@@ -134,12 +128,9 @@ def mask_value(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> 
     p, q = xi.numerator, xi.denominator
     if q > _TABLE_MAX:
         raise Unsupported(f"cyclotomic mask values support denominators up to {_TABLE_MAX}, got {q}")
-    rows = _power_rows(q)
-    acc = [0] * len(rows[0])
-    for d in integer_digits(digits):
-        for j, c in enumerate(rows[(-d * p) % q]):
-            acc[j] += c
-    return CyclotomicValue(q, tuple(acc))
+    table = _power_table(q)
+    exps = [(-d * p) % q for d in integer_digits(digits)]
+    return CyclotomicValue(q, tuple(table[exps].sum(axis=0).tolist()))
 
 
 def _antipodal_partner(exps: Sequence[int], q: int) -> int | None:
@@ -224,53 +215,51 @@ def vanishing_case(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction)
 
 @dataclass(frozen=True)
 class ScaledResidues:
-    """The set {scale * n : n integer, n mod modulus in residues}.
+    """The set {scale * n : n an integer not divisible by modulus}.
 
-    scale is a positive rational; residues exclude 0, so 0 never belongs.
-    The two shapes occurring in practice are beta * (odd integers), i.e.
-    modulus 2 with residues {1}, and beta * (integers not divisible by 3).
+    scale is a positive rational and modulus is 2 or 3, the two shapes the
+    zero sets take: beta * (odd integers) and beta * (integers not divisible
+    by 3).  0 never belongs.
     """
 
     scale: Fraction
     modulus: int
-    residues: frozenset[int]
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise InvalidInput("scale must be positive")
-        if self.modulus < 2:
-            raise InvalidInput("modulus must be >= 2")
-        if not self.residues or not all(0 < r < self.modulus for r in self.residues):
-            raise InvalidInput("residues must be nonempty and lie in 1..modulus-1")
+        if self.modulus not in (2, 3):
+            raise InvalidInput("modulus must be 2 or 3")
+
+    @property
+    def residues(self) -> frozenset[int]:
+        return frozenset(range(1, self.modulus))
 
     def member(self, xi: Fraction) -> bool:
         n = Fraction(xi) / self.scale
-        return n.denominator == 1 and n.numerator % self.modulus in self.residues
+        return n.denominator == 1 and n.numerator % self.modulus != 0
 
     def contains_part(self, other: "ScaledResidues") -> bool:
-        """Containment test; only decided for equal moduli (enough to merge)."""
+        """Containment test; only decided for equal moduli (enough to merge).
+        The modulus is prime, so k * n avoids its multiples for every such n
+        exactly when k does."""
         if self.modulus != other.modulus:
             return False
         k = other.scale / self.scale
-        return k.denominator == 1 and all(
-            (k.numerator * r) % self.modulus in self.residues for r in other.residues
-        )
+        return k.denominator == 1 and k.numerator % self.modulus != 0
 
     def scaled(self, c: Fraction) -> "ScaledResidues":
-        return ScaledResidues(self.scale * c, self.modulus, self.residues)
+        return ScaledResidues(self.scale * c, self.modulus)
 
     def to_json(self) -> dict:
         return {"scale": str(self.scale), "modulus": self.modulus, "residues": sorted(self.residues)}
 
     def __str__(self) -> str:
-        if self.modulus == 2 and self.residues == frozenset({1}):
-            return f"{self.scale}*odd"
-        rs = ",".join(str(r) for r in sorted(self.residues))
-        return f"{self.scale}*(n % {self.modulus} in {{{rs}}})"
+        return f"{self.scale}*odd" if self.modulus == 2 else f"{self.scale}*(n % 3 in {{1,2}})"
 
 
 def odd_multiples(scale: Fraction) -> ScaledResidues:
-    return ScaledResidues(Fraction(scale), 2, frozenset({1}))
+    return ScaledResidues(Fraction(scale), 2)
 
 
 @dataclass(frozen=True)
@@ -336,7 +325,7 @@ def zero_set(digits: NormalizedDigits) -> ZeroSet:
         _, a, b = ints
         if {a % 3, b % 3} != {1, 2}:
             return ZeroSet(())
-        return ZeroSet.of([ScaledResidues(Fraction(1, 3), 3, frozenset({1, 2}))])
+        return ZeroSet.of([ScaledResidues(Fraction(1, 3), 3)])
 
     shape = four_digit_shape(ints)
     if shape is None:
@@ -363,7 +352,7 @@ def zero_set_member_batch(zs: ZeroSet, q: int, numerators: np.ndarray) -> np.nda
         den = q * part.scale.numerator
         integral = num % den == 0
         n = np.where(integral, num // den, 0)
-        out |= integral & np.isin(n % part.modulus, sorted(part.residues))
+        out |= integral & (n % part.modulus != 0)
     return out
 
 
@@ -408,7 +397,7 @@ class MuZeroTest:
             n = num // divisor
             while n % self.n_ratio == 0:
                 n //= self.n_ratio
-                if n % part.modulus in part.residues:
+                if n % part.modulus:
                     return True
         return False
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from ssmspec.cli import MAX_SCAN_ROWS, main
+from ssmspec.cli import MAX_SCAN_ROWS, build_parser, main
 from ssmspec.zeros import mask_value
 
 
@@ -135,10 +136,45 @@ def test_classify_exits_with_a_documented_code_on_any_text(rho, digits, weights)
 
 @settings(max_examples=60, deadline=None)
 @example("1/0")
+@example("--")
 @given(_CLI_TEXT)
 def test_qdump_grid_exits_with_a_documented_code_on_any_text(grid):
     argv = ["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "2", f"--grid={grid}"]
     assert _exit_code(argv) in (0, 1, 2, 64)
+
+
+# One accepted command line per subcommand.
+_ACCEPTED = {
+    "classify": ["--rho=1/4", "--digits=0,2"],
+    "zeros": ["0,2"],
+    "scan": ["--cardinality=2", "--digit-bound=5", "--n-max=4"],
+    "qdump": ["--rho=1/4", "--digits=0,2"],
+    "gram": ["--rho=1/4", "--digits=0,2"],
+}
+
+
+def _subcommand_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, option)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+
+
+@pytest.mark.parametrize("command,option", _subcommand_options())
+def test_attached_double_dash_is_a_usage_error(capsys, command, option):
+    # argparse strips a `--` given as `--opt=--` and stores [] without
+    # calling the option's type; every option must refuse it.
+    replaced = {"--rho", "--rho-root"} if option.startswith("--rho") else {option}
+    kept = [arg for arg in _ACCEPTED[command] if arg.split("=")[0] not in replaced]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *kept, f"{option}=--"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "error: argument --" in err
 
 
 @st.composite
@@ -525,3 +561,33 @@ def test_float_spectrum_points_exit_2(capsys, monkeypatch, command):
     monkeypatch.setattr(cli, "_spectrum_points", lambda args, n_ratio: [0, 0.1])
     code, out, err = run(capsys, command, "--rho", "1/4", "--digits", "0,2")
     assert code == 2 and out == "" and "not a rational value: 0.1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--rho", "1/4", "--digits", "0,1,8,9"],
+        ["zeros", "0,1,2"],
+        ["scan", "--cardinality", "3", "--digit-bound", "6", "--n-max", "8"],
+        ["scan", "--cardinality", "3", "--digit-bound", "6", "--n-max", "8", "--format", "json"],
+        ["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "3"],
+        ["gram", "--rho", "1/4", "--digits", "0,2", "--level", "3"],
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("command", ["qdump", "gram"])
+def test_refused_dump_leaves_the_out_file_untouched(capsys, tmp_path, command):
+    # The result is computed before --out is opened, so a refusal truncates nothing.
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier output\n")
+    code, out, err = run(capsys, command, "--rho", "1/4", "--digits", "0,2", "--level", "17", "--out", str(path))
+    assert code == 2 and out == "" and "exceeds the limit" in err
+    assert path.read_text() == "earlier output\n"

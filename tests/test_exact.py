@@ -14,6 +14,7 @@ from ssmspec.exact import (
     NormalizedDigits,
     Unsupported,
     WeightVector,
+    as_digit,
     as_fraction,
     digit_values,
     integer_digits,
@@ -55,7 +56,7 @@ def test_normalize_tau_proportional():
 
 def test_normalize_tau_coefficients_stay_exact():
     # Integral t-coefficients divide as Fractions, never as floats, whether
-    # they are parsed (Fractions) or given as ints.
+    # they are parsed or given as ints.
     for digits in (DigitSet.of(["0", "2t", "6t"]), DigitSet((Digit(0), Digit(0, 2), Digit(0, 6)))):
         out = normalize_digits(digits)
         assert out.integers == (0, 1, 3)
@@ -186,6 +187,15 @@ def test_zero_denominators_are_refused():
             parse_digit(text)
     with pytest.raises(InvalidInput, match="zero denominator"):
         WeightVector.of(["1/0", "1"])
+
+
+def test_text_digits_keep_int_components():
+    assert as_digit("2") == Digit(2) and type(as_digit("2").rational) is int
+    two_t = parse_digit("2t")
+    assert two_t.tau_coeff == 2 and type(two_t.tau_coeff) is int and type(two_t.rational) is int
+    mixed = parse_digit("1/2 + 4/2*t")
+    assert type(mixed.rational) is F and type(mixed.tau_coeff) is int
+    assert [type(d.rational) for d in DigitSet.of(["0", "1"]).digits] == [int, int]
 
 
 def test_parsing_round_trips():

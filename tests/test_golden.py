@@ -151,6 +151,10 @@ CASES = {
         ["zeros", "0,1,8,9"],
         "eb94c3b53529d9f15556264d4363d7127e35244291ab99a7c139651c0986d739",
     ),
+    "zeros-card3": (
+        ["zeros", "0,1,2"],
+        "10650a47c0b3750e87281ee9cd2c2fdb89a47a9d2da402fa7d6bb4897591462b",
+    ),
 }
 
 # Unsupported verdicts still print their JSON, and exit 2.

@@ -1,3 +1,6 @@
+import io
+import os
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -191,16 +194,39 @@ def test_mu_hat_refuses_what_it_cannot_certify():
 def test_csv_formats():
     ev = MuHatEvaluator((0, 2), 4)
     grid = [0.0, 1 / 3]
-    text = q_samples_csv(grid, q_function(ev, [0, 1], grid), 1)
-    lines = text.strip().split("\n")
+    out = io.StringIO()
+    q_samples_csv(grid, q_function(ev, [0, 1], grid), 1, out)
+    lines = out.getvalue().strip().split("\n")
     assert lines[0] == "xi,q,level"
     assert lines[2].startswith("0.33333333333333331,")  # 17 significant digits
     g = gram_matrix(ev, [0, 1])
-    gtext = gram_csv(g)
-    glines = gtext.strip().split("\n")
+    gout = io.StringIO()
+    gram_csv(g, gout)
+    glines = gout.getvalue().strip().split("\n")
     assert glines[0] == "i,j,re,im"
     assert glines[1] == "0,0,1,0"
     assert len(glines) == 5
+
+
+def _traced_peak(render) -> int:
+    """Peak traced allocation, in bytes, of rendering into a discarding sink."""
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            render(sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_csv_renderers_write_as_they_render():
+    # The whole text of either table is tens of MB; rendered into the sink
+    # piece by piece, the renderers never hold more than a row or a block.
+    matrix = np.exp(1j * np.arange(512 * 512.0)).reshape(512, 512)
+    assert _traced_peak(lambda sink: gram_csv(matrix, sink)) < 2 * 1024 * 1024
+    grid = np.arange(1 << 18) / (1 << 18)
+    values = np.sqrt(grid)
+    assert _traced_peak(lambda sink: q_samples_csv(grid, values, 4, sink)) < 2 * 1024 * 1024
 
 
 def test_float_points_are_refused():

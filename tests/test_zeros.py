@@ -87,6 +87,21 @@ def test_mask_value_on_unreduced_is_exact():
         mask_value((0, 500), F(1, 1000))
 
 
+def test_mask_value_coefficients_against_sympy():
+    # The summed power-table rows are the remainder of sum x**((-d*p) mod q) by Phi_q.
+    x = sympy.symbols("x")
+    rng = random.Random(5)
+    for q in (1, 2, 5, 12, 30, 105, 210, 512):
+        for _ in range(3):
+            digits = rng.sample(range(-50, 200), rng.randint(1, 7))
+            xi = F(rng.randint(-3 * q, 3 * q), q)
+            p, order = xi.numerator, xi.denominator
+            rem = sympy.rem(sum(x ** ((-d * p) % order) for d in digits), sympy.cyclotomic_poly(order, x), x)
+            want = [int(c) for c in sympy.Poly(rem, x).all_coeffs()[::-1]]
+            got = list(mask_value(digits, xi).coefficients)
+            assert got[: len(want)] == want and not any(got[len(want) :]), (digits, xi)
+
+
 def test_mask_value_refuses_large_denominators():
     assert mask_value((0, 1), F(1, 512)).order == 512
     for q in (513, 1000, 30030):
@@ -411,11 +426,19 @@ def test_zero_set_json():
 
 def test_scaled_residues_validation():
     with pytest.raises(InvalidInput):
-        ScaledResidues(F(-1, 2), 2, frozenset({1}))
-    with pytest.raises(InvalidInput):
-        ScaledResidues(F(1, 2), 2, frozenset({0}))
-    with pytest.raises(InvalidInput):
-        ScaledResidues(F(1, 2), 1, frozenset({0}))
+        ScaledResidues(F(-1, 2), 2)
+    for modulus in (1, 4):
+        with pytest.raises(InvalidInput):
+            ScaledResidues(F(1, 2), modulus)
+
+
+def test_scaled_residues_derive_the_nonzero_residues():
+    odd, thirds = ScaledResidues(F(1, 2), 2), ScaledResidues(F(1, 3), 3)
+    assert odd.residues == frozenset({1}) and thirds.residues == frozenset({1, 2})
+    assert str(odd) == "1/2*odd" and str(thirds) == "1/3*(n % 3 in {1,2})"
+    assert thirds.to_json() == {"scale": "1/3", "modulus": 3, "residues": [1, 2]}
+    assert [thirds.member(F(n, 3)) for n in range(-3, 4)] == [False, True, True, False, True, True, False]
+    assert thirds.contains_part(ScaledResidues(F(2, 3), 3)) and not thirds.contains_part(ScaledResidues(F(1, 1), 3))
 
 
 def test_mask_vanishes_refuses_non_integer_digits():
