@@ -65,6 +65,12 @@ class Reason(Enum):
     OK = "OK"
     UNSUPPORTED = "Unsupported"
 
+    @property
+    def outcome(self) -> Outcome:
+        if self is Reason.OK:
+            return Outcome.SPECTRAL
+        return Outcome.UNSUPPORTED if self is Reason.UNSUPPORTED else Outcome.NON_SPECTRAL
+
 
 CITATIONS = {
     "equal-weights": "Deng-Chen: a spectral self-similar measure has equal weights",
@@ -116,11 +122,7 @@ class Verdict:
 
     @property
     def outcome(self) -> Outcome:
-        if self.reason is Reason.OK:
-            return Outcome.SPECTRAL
-        if self.reason is Reason.UNSUPPORTED:
-            return Outcome.UNSUPPORTED
-        return Outcome.NON_SPECTRAL
+        return self.reason.outcome
 
     def to_json(self) -> dict:
         out: dict = {
@@ -214,45 +216,44 @@ def classify(
     certificate on success.  The digit steps come from `digit_facts`, so
     passing a DigitFacts skips them.
     """
-    return _decide(_as_ratio(rho), digit_facts(digits), weights)
-
-
-def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
-    """The rule in rho: weights, then the verdict from the digit facts and N."""
-    rho_text = str(ratio)
+    ratio = _as_ratio(rho)
+    facts = digit_facts(digits)
     # No weights means uniform weights, which need no vector and no check.
-    wvec = weight_text = None
+    weight_text, uniform = None, True
     if weights is not None:
         wvec = weights if isinstance(weights, WeightVector) else WeightVector.of(weights)
         if len(wvec.weights) != facts.cardinality:
             raise InvalidInput("weight count must match digit count")
-        weight_text = wvec.display()
+        weight_text, uniform = wvec.display(), wvec.is_uniform
+    if uniform or not facts.supported:
+        reason, citations, certificate = _decide(ratio, facts)
+        normalized = facts.normalized
+    else:
+        reason, citations, certificate, normalized = Reason.UNEQUAL_WEIGHTS, ("equal-weights",), None, None
+    return Verdict(reason, citations, str(ratio), facts.digit_text, weight_text, normalized, certificate)
 
-    def verdict(reason, citations, certificate=None, normalized=facts.normalized):
-        return Verdict(reason, citations, rho_text, facts.digit_text, weight_text, normalized, certificate)
 
+def _decide(ratio: ContractionRatio, facts: DigitFacts) -> tuple[Reason, tuple[str, ...], Optional[Certificate]]:
+    """The rule in rho for uniform weights: (reason, citation keys, certificate)."""
     if not facts.supported:
-        return verdict(Reason.UNSUPPORTED, ("five-plus",))
-
-    if wvec is not None and not wvec.is_uniform:
-        return verdict(Reason.UNEQUAL_WEIGHTS, ("equal-weights",), normalized=None)
+        return Reason.UNSUPPORTED, ("five-plus",), None
 
     card = facts.cardinality
     if isinstance(facts.normalized, IrreducibleWitness):
         if card == 4:
-            return verdict(Reason.IRRATIONAL_DIGITS, ("irrational-digits",))
-        return verdict(Reason.EMPTY_ZERO_SET, ("card3-irrational", "empty-zero-set"))
+            return Reason.IRRATIONAL_DIGITS, ("irrational-digits",), None
+        return Reason.EMPTY_ZERO_SET, ("card3-irrational", "empty-zero-set"), None
 
     if card == 1:
-        return verdict(Reason.OK, ("dirac",), Dirac())
+        return Reason.OK, ("dirac",), Dirac()
 
     if not facts.has_zeros:
         cites = ("parity", "empty-zero-set") if card == 4 else ("card3-residues", "empty-zero-set")
-        return verdict(Reason.EMPTY_ZERO_SET, cites)
+        return Reason.EMPTY_ZERO_SET, cites, None
 
     n_ratio = ratio.reciprocal_integer()
     if n_ratio is None:
-        return verdict(Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",))
+        return Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",), None
 
     if card < 4:
         # Two or three digits with a nonempty zero set: spectral iff card | N,
@@ -260,24 +261,24 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts, weights) -> Verdict:
         rule = "bernoulli" if card == 2 else "card3"
         if n_ratio % card:
             reason = Reason.N_ODD if card == 2 else Reason.CARD3_N_NOT_DIVISIBLE_BY_3
-            return verdict(reason, (rule, "zero-containment"))
+            return reason, (rule, "zero-containment"), None
         triple = HadamardTriple(n_ratio, facts.normalized.integers, tuple(j * n_ratio // card for j in range(card)))
         if not triple.verify():
             raise InternalInconsistency(f"{card}-digit certificate failed verification")
-        return verdict(Reason.OK, (rule,), triple)
+        return Reason.OK, (rule,), triple
 
     # Four digits with a nonempty zero set: exactly two of the nonzero digits
     # are odd, and the classification runs on the 2-adic valuations.
     if n_ratio % 2:
-        return verdict(Reason.N_ODD, ("card4", "zero-containment"))
+        return Reason.N_ODD, ("card4", "zero-containment"), None
     shape = facts.shape
     if shape.t1 != shape.t2:
-        return verdict(Reason.T_DISTINCT, ("card4", "t-distinct"))
+        return Reason.T_DISTINCT, ("card4", "t-distinct"), None
     beta, m = val2(n_ratio)
     if shape.t1 % beta == 0:
-        return verdict(Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"))
+        return Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"), None
     dec = StructureDecomposition(a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m)
-    return verdict(Reason.OK, ("card4", "product-form"), construct_product_form(dec))
+    return Reason.OK, ("card4", "product-form"), construct_product_form(dec)
 
 
 def explain(v: Verdict) -> str:

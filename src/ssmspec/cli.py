@@ -16,12 +16,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from itertools import combinations, islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classify import Outcome, Verdict, classify, digit_facts, explain
+from .classify import Outcome, Reason, Verdict, _decide, classify, digit_facts, explain
 from .exact import (
     ContractionRatio,
     DigitSet,
@@ -173,74 +173,70 @@ class ScanConfig:
 
 def enumerate_digit_sets(cardinality: int, digit_bound: int) -> list[tuple[int, ...]]:
     """All gcd-1 digit sets {0, ...} of the given size within the bound."""
-    out = []
-    for rest in combinations(range(1, digit_bound + 1), cardinality - 1):
-        if math.gcd(*rest) == 1:
-            out.append((0, *rest))
-    return out
+    rests = combinations(range(1, digit_bound + 1), cardinality - 1)
+    return [(0, *rest) for rest in rests if math.gcd(*rest) == 1]
 
 
-def _card4_invariants(verdict: Verdict, n_ratio: int) -> list[str]:
-    """Necessity conditions every four-digit Spectral verdict must satisfy."""
-    problems = []
-    shape = four_digit_shape(verdict.normalized.integers)
+def _card4_invariants(integers: tuple[int, ...], n_ratio: int) -> Iterator[str]:
+    """The necessity conditions a four-digit Spectral row breaks."""
+    shape = four_digit_shape(integers)
     beta, _ = val2(n_ratio)
     if n_ratio % 2:
-        problems.append("Spectral with odd N")
+        yield "Spectral with odd N"
     if shape is None:
-        problems.append("Spectral without the two-odd-one-even pattern")
+        yield "Spectral without the two-odd-one-even pattern"
     elif shape.t1 != shape.t2:
-        problems.append("Spectral with t1 != t2")
+        yield "Spectral with t1 != t2"
     elif beta and shape.t1 % beta == 0:
-        problems.append("Spectral with beta dividing t")
-    return problems
+        yield "Spectral with beta dividing t"
 
 
-def run_scan(cfg: ScanConfig) -> tuple[list[dict], list[str]]:
-    """Classify every (digit set, N) pair in range; returns (rows, violations).
+def run_scan(cfg: ScanConfig, violations: list[str]) -> Iterator[dict]:
+    """Classify every (digit set, N) pair in range, yielding one row each.
 
-    The digit facts are derived once per digit set and each ratio is built
-    once, so a row costs only the rule in N and its certificate checks.
+    Each broken invariant is appended to ``violations`` as its row goes by,
+    so the list is complete only once the generator is exhausted.  A row
+    costs `classify`'s rule in N and a certificate check, nothing more.
     """
-    rows = []
-    violations = []
     ratios = [(n, ContractionRatio.rational(Fraction(1, n))) for n in range(cfg.n_min, cfg.n_max + 1)]
     for digits in enumerate_digit_sets(cfg.cardinality, cfg.digit_bound):
         facts = digit_facts(DigitSet.of(digits))
         label = ",".join(str(d) for d in digits)
         for n_ratio, ratio in ratios:
-            verdict = classify(ratio, facts)
-            outcome = verdict.outcome
-            cert_ok = None if verdict.certificate is None else verdict.certificate.verify()
-            rows.append(
-                {
-                    "digits": label,
-                    "N": n_ratio,
-                    "outcome": outcome.value,
-                    "reason": verdict.reason.value,
-                    "certificate_ok": "" if cert_ok is None else str(cert_ok).lower(),
-                }
-            )
-            if outcome is Outcome.SPECTRAL:
+            reason, _, certificate = _decide(ratio, facts)
+            cert_ok = None if certificate is None else certificate.verify()
+            if reason is Reason.OK:
                 if cert_ok is not True:
                     violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
                 if cfg.cardinality == 4:
-                    for problem in _card4_invariants(verdict, n_ratio):
-                        violations.append(f"{label} N={n_ratio}: {problem}")
-    return rows, violations
+                    problems = _card4_invariants(facts.normalized.integers, n_ratio)
+                    violations.extend(f"{label} N={n_ratio}: {problem}" for problem in problems)
+            yield {"digits": label, "N": n_ratio, "outcome": reason.outcome.value, "reason": reason.value,
+                   "certificate_ok": "" if cert_ok is None else str(cert_ok).lower()}
 
 
 # The columns of the scan table: the keys of a `run_scan` row, in order.
 _SCAN_FIELDS = ("digits", "N", "outcome", "reason", "certificate_ok")
 
+# Rows per `json.dumps` call of a JSON scan: one call per row is twice as slow.
+_JSON_BLOCK = 4096
+
 
 def cmd_scan(args) -> int:
-    rows, violations = run_scan(ScanConfig(args.cardinality, args.digit_bound, args.n_min, args.n_max))
+    # Refused before --out is opened; then each row is written as it comes.
+    cfg = ScanConfig(args.cardinality, args.digit_bound, args.n_min, args.n_max)
+    violations: list[str] = []
+    rows = run_scan(cfg, violations)
     with _output(args.out) as fh:
         if args.format == "json":
-            fh.write(json.dumps(rows, indent=2) + "\n")
+            # Block dumps without their brackets, joined by commas: the bytes of
+            # one dump of the table, which is never empty.
+            opening = "["
+            while block := list(islice(rows, _JSON_BLOCK)):
+                fh.write(opening + json.dumps(block, indent=2)[1:-2])
+                opening = ","
+            fh.write("\n]\n")
         else:
-            # Row by row into the output: the table is never held as one string.
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_SCAN_FIELDS)
             writer.writerows(row.values() for row in rows)
@@ -293,7 +289,9 @@ def cmd_qdump(args) -> int:
     ev, points = _numeric_inputs(args)
     count = int(1 / args.grid)
     check_q_terms(ev, count, len(points))
-    grid = np.fromiter((float(j * args.grid) for j in range(count)), dtype=float, count=count)
+    # Integer true division rounds correctly, so each point is float(j * grid).
+    step_num, step_den = args.grid.numerator, args.grid.denominator
+    grid = np.fromiter((j * step_num / step_den for j in range(count)), dtype=float, count=count)
     q_values = q_function(ev, points, grid)
     with _output(args.out) as fh:
         q_samples_csv(grid, q_values, args.level, fh)

@@ -90,7 +90,8 @@ def test_criterion_2_jorgensen_pedersen_pair():
 
 def test_criterion_3_exhaustive_card4_scan():
     with criterion(3, "exhaustive four-digit scan", 60.0):
-        rows, violations = run_scan(ScanConfig(4, 15, 2, 10))
+        violations = []
+        rows = list(run_scan(ScanConfig(4, 15, 2, 10), violations))
         assert not violations, violations[:5]
         spectral = [r for r in rows if r["outcome"] == "Spectral"]
         assert spectral, "scan found no spectral cases"
@@ -178,12 +179,14 @@ def _scan_certificate_triples(rows):
 
 def test_criterion_5_card2_card3_tables():
     with criterion(5, "two- and three-digit tables", 60.0):
-        rows2, violations2 = run_scan(ScanConfig(2, 9, 2, 12))
+        violations2 = []
+        rows2 = list(run_scan(ScanConfig(2, 9, 2, 12), violations2))
         assert not violations2
         for r in rows2:
             assert (r["outcome"] == "Spectral") == (r["N"] % 2 == 0)
 
-        rows3, violations3 = run_scan(ScanConfig(3, 9, 2, 12))
+        violations3 = []
+        rows3 = list(run_scan(ScanConfig(3, 9, 2, 12), violations3))
         assert not violations3
         for r in rows3:
             digits = [int(x) for x in r["digits"].split(",")]
@@ -216,9 +219,9 @@ def test_criterion_6_hu_lau_criterion():
 
 def test_criterion_7_exact_float_hadamard_agreement():
     with criterion(7, "exact/float Hadamard agreement", 60.0):
-        rows4, _ = run_scan(ScanConfig(4, 15, 2, 10))
-        rows2, _ = run_scan(ScanConfig(2, 9, 2, 12))
-        rows3, _ = run_scan(ScanConfig(3, 9, 2, 12))
+        rows4 = list(run_scan(ScanConfig(4, 15, 2, 10), []))
+        rows2 = list(run_scan(ScanConfig(2, 9, 2, 12), []))
+        rows3 = list(run_scan(ScanConfig(3, 9, 2, 12), []))
         triples = _scan_certificate_triples(rows4 + rows2 + rows3)
         assert len(triples) > 500
         disagreements = 0

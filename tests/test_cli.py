@@ -3,9 +3,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
@@ -270,21 +273,26 @@ def test_scan_determinism(capsys):
 def test_scan_violation_exits_1(capsys, monkeypatch):
     import ssmspec.cli as cli
 
-    monkeypatch.setattr(cli, "run_scan", lambda cfg: ([], ["synthetic problem"]))
+    def run_scan(cfg, violations):
+        violations.append("synthetic problem")
+        yield from ()
+
+    monkeypatch.setattr(cli, "run_scan", run_scan)
     code, _, err = run(capsys, "scan", "--cardinality", "4", "--digit-bound", "6", "--n-max", "5")
     assert code == 1 and "synthetic problem" in err
 
 
 def test_scan_reports_each_invariant_violation(capsys, monkeypatch):
     import ssmspec.cli as cli
-    from ssmspec.classify import Dirac, Reason, Verdict
+    from ssmspec.classify import DigitFacts, Dirac, Reason
     from ssmspec.exact import Digit, NormalizedDigits
 
     class Failing:
         def verify(self):
             return False
 
-    # A Spectral verdict per N, each breaking one check of run_scan.
+    # A Spectral row per N, each breaking one check of run_scan: the
+    # normalized integers of the digit facts and the certificate of the rule.
     fakes = {
         2: ((0, 1, 2, 3), Dirac()),  # t1 = t2 = 1 and beta = 1 divides it
         3: ((0, 1, 8, 9), Dirac()),  # odd N
@@ -292,16 +300,16 @@ def test_scan_reports_each_invariant_violation(capsys, monkeypatch):
         5: ((0, 1, 3, 5), Dirac()),  # three odd digits
         6: ((0, 1, 2, 5), Dirac()),  # t1 = 1, t2 = 2
     }
-
-    def fake_classify(ratio, facts):
-        ints, cert = fakes[ratio.reciprocal_integer()]
-        norm = NormalizedDigits(Digit(Fraction(1)), ints)
-        return Verdict(Reason.OK, (), str(ratio), facts.digit_text, None, normalized=norm, certificate=cert)
-
-    monkeypatch.setattr(cli, "classify", fake_classify)
-    code, _, err = run(capsys, "scan", "--cardinality", "4", "--digit-bound", "3", "--n-max", "6")
-    assert code == 1
-    assert err.splitlines() == [
+    monkeypatch.setattr(cli, "_decide", lambda ratio, facts: (Reason.OK, (), fakes[ratio.reciprocal_integer()][1]))
+    lines = []
+    for n, (ints, _) in fakes.items():
+        # One single-N scan per fake, since the digit facts hold the integers.
+        facts = DigitFacts(("0", "1", "2", "3"), NormalizedDigits(Digit(Fraction(1)), ints))
+        monkeypatch.setattr(cli, "digit_facts", lambda dset, facts=facts: facts)
+        code, _, err = run(capsys, "scan", "--cardinality", "4", "--digit-bound", "3", "--n-min", str(n), "--n-max", str(n))
+        assert code == 1
+        lines += err.splitlines()
+    assert lines == [
         "violation: 0,1,2,3 N=2: Spectral with beta dividing t",
         "violation: 0,1,2,3 N=3: Spectral with odd N",
         "violation: 0,1,2,3 N=4: Spectral without verified certificate",
@@ -511,7 +519,8 @@ def test_scan_normalizes_each_digit_set_once(monkeypatch):
         return original(dset)
 
     monkeypatch.setattr(classify_module, "normalize_digits", counting)
-    rows, violations = run_scan(ScanConfig(4, 15, 2, 24))
+    violations = []
+    rows = list(run_scan(ScanConfig(4, 15, 2, 24), violations))
     assert not violations and len(rows) == 409 * 23
     assert len(calls) == len(enumerate_digit_sets(4, 15)) == 409
 
@@ -535,7 +544,8 @@ def test_scan_verifies_each_certificate_again(monkeypatch):
 
     monkeypatch.setattr(hadamard.ProductForm, "verify", counted_verify)
     monkeypatch.setattr(hadamard, "verify_product_form", counted_check)
-    rows, violations = run_scan(ScanConfig(4, 15, 2, 24))
+    violations = []
+    rows = list(run_scan(ScanConfig(4, 15, 2, 24), violations))
     spectral = sum(row["outcome"] == "Spectral" for row in rows)
     assert not violations and spectral > 0
     assert all(row["certificate_ok"] == "true" for row in rows if row["outcome"] == "Spectral")
@@ -549,7 +559,8 @@ def test_scan_zero_set_cache_stays_bounded():
 
     maxsize = zero_set.cache_info().maxsize
     assert maxsize is not None
-    rows, violations = run_scan(ScanConfig(4, 30, 2, 3))
+    violations = []
+    rows = list(run_scan(ScanConfig(4, 30, 2, 3), violations))
     assert not violations and len({row["digits"] for row in rows}) > maxsize
     assert zero_set.cache_info().currsize <= maxsize
 
@@ -583,11 +594,86 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
     assert path.read_bytes() == printed.encode()
 
 
-@pytest.mark.parametrize("command", ["qdump", "gram"])
+_REFUSED_FLAGS = {
+    "qdump": ["--rho", "1/4", "--digits", "0,2", "--level", "17"],
+    "gram": ["--rho", "1/4", "--digits", "0,2", "--level", "17"],
+    "scan": ["--cardinality", "4", "--digit-bound", "48", "--n-max", "64"],  # above MAX_SCAN_ROWS
+}
+
+
+@pytest.mark.parametrize("command", ["qdump", "gram", "scan"])
 def test_refused_dump_leaves_the_out_file_untouched(capsys, tmp_path, command):
-    # The result is computed before --out is opened, so a refusal truncates nothing.
+    # Every refusal comes before --out is opened, so it truncates nothing.
     path = tmp_path / "kept.csv"
     path.write_text("earlier output\n")
-    code, out, err = run(capsys, command, "--rho", "1/4", "--digits", "0,2", "--level", "17", "--out", str(path))
+    code, out, err = run(capsys, command, *_REFUSED_FLAGS[command], "--out", str(path))
     assert code == 2 and out == "" and "exceeds the limit" in err
     assert path.read_text() == "earlier output\n"
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_scan_json_blocks_make_the_bytes_of_one_dump(capsys, monkeypatch, block):
+    import ssmspec.cli as cli
+    from ssmspec.cli import ScanConfig, run_scan
+
+    rows = list(run_scan(ScanConfig(3, 6, 2, 8), []))
+    assert len(rows) % 2 and len(rows) % 3  # the last block is a partial one
+    monkeypatch.setattr(cli, "_JSON_BLOCK", block)
+    code, out, _ = run(capsys, "scan", "--cardinality", "3", "--digit-bound", "6", "--n-max", "8", "--format", "json")
+    assert code == 0 and out == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt,limit_mb", [("csv", 2), ("json", 12)])
+def test_scan_never_holds_its_table(fmt, limit_mb):
+    # 26,919 rows, which as dicts peak at 5.7 MB (CSV) and, with the JSON
+    # text besides, at 32.5 MB; streamed, a scan holds a row or one JSON
+    # block of rows.
+    argv = ["scan", "--cardinality", "4", "--digit-bound", "20", "--n-max", "28", "--format", fmt, "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1024 * 1024
+
+
+def test_scan_yields_a_row_before_the_next_digit_set(monkeypatch):
+    import ssmspec.cli as cli
+    from ssmspec.cli import ScanConfig, run_scan
+
+    calls = []
+    original = cli.digit_facts
+
+    def counting(dset):
+        calls.append(dset)
+        return original(dset)
+
+    monkeypatch.setattr(cli, "digit_facts", counting)
+    rows = run_scan(ScanConfig(4, 47, 2, 64), [])
+    assert next(rows) == {"digits": "0,1,2,3", "N": 2, "outcome": "NonSpectral", "reason": "TDivisibleByBeta", "certificate_ok": ""}
+    assert len(calls) == 1
+
+
+@st.composite
+def _grid_steps(draw):
+    """Grid steps p/q in (0, 1] with at most a few hundred points, often
+    with denominators above 2^53."""
+    den = draw(st.integers(1, 10**6) | st.integers(2**53, 2**80))
+    return Fraction(draw(st.integers(max(1, den // 300), den)), den)
+
+
+@settings(max_examples=60, deadline=None)
+@example(Fraction(3, 1000003))
+@example(Fraction(10**20 + 37, 7 * 10**20 + 39))
+@example(Fraction(2, 3))
+@given(_grid_steps())
+def test_qdump_grid_points_are_the_rounded_exact_points(step):
+    import ssmspec.cli as cli
+
+    grids = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "q_function", lambda ev, points, grid: grids.append(grid) or np.zeros(len(grid)))
+        mp.setattr(cli, "q_samples_csv", lambda *args: None)
+        assert main(["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "1", f"--grid={step}"]) == 0
+    assert grids[0].tolist() == [float(j * step) for j in range(int(1 / step))]
