@@ -100,6 +100,14 @@ def _grid_arg(text: str) -> Fraction:
     return step
 
 
+@_usage
+def _level_arg(text: str) -> int:
+    level = int(text)
+    if level < 0:
+        raise InvalidInput("level must be >= 0")
+    return level
+
+
 def _tolerance() -> float:
     raw = os.environ.get(TOLERANCE_ENV)
     if raw is None:
@@ -352,7 +360,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=extra)
         add_rho(p)
         p.add_argument("--digits", type=_digits_arg, required=True)
-        p.add_argument("--level", type=int, default=4, help="truncation level for --spectrum triple")
+        p.add_argument("--level", type=_level_arg, default=4, help="truncation level for --spectrum triple")
         p.add_argument(
             "--spectrum",
             default="triple",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,18 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     raise InvalidInput(f"not a rational value: {x!r}")
+
+
+def as_n_ratio(n, least: int = 2) -> int:
+    """The inverse ratio N as an int: an integer (numpy integers too) of at
+    least `least`; floats such as 4.0 and anything smaller raise InvalidInput."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInput(f"N must be an integer, got {n!r}") from None
+    if n < least:
+        raise InvalidInput(f"N must be >= {least}")
+    return n
 
 
 _DIGIT_RE = re.compile(

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
-from .exact import InternalInconsistency, InvalidInput, integer_digits
+from .exact import InternalInconsistency, InvalidInput, as_n_ratio, integer_digits
 from .zeros import _vanishes_at
 
 # `find_spectrum_set` fills a table of N entries; larger N is refused up front.
@@ -22,13 +22,12 @@ MAX_SEARCH_N = 1 << 16
 
 def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[int]) -> bool:
     """Exact decision: does (N, D, L) form a Hadamard triple?"""
-    return _is_hadamard(n_ratio, integer_digits(digits), integer_digits(spectrum))
+    return _is_hadamard(as_n_ratio(n_ratio), integer_digits(digits), integer_digits(spectrum))
 
 
 def _is_hadamard(n_ratio: int, d: tuple[int, ...], l: tuple[int, ...]) -> bool:
-    """`is_hadamard_triple` on `integer_digits` output, which certificates store."""
-    if n_ratio < 2:
-        raise InvalidInput("N must be >= 2")
+    """`is_hadamard_triple` on `as_n_ratio` and `integer_digits` output,
+    which certificates store."""
     if len(d) != len(l):
         raise InvalidInput(f"#D = {len(d)} and #L = {len(l)} must agree")
     return all(_vanishes_at(d, l1 - l2, n_ratio) for i, l1 in enumerate(l) for l2 in l[i + 1 :])
@@ -43,6 +42,7 @@ class HadamardTriple:
     spectrum: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_ratio", as_n_ratio(self.n_ratio))
         object.__setattr__(self, "digits", integer_digits(self.digits))
         object.__setattr__(self, "spectrum", integer_digits(self.spectrum))
         if len(self.digits) != len(self.spectrum):
@@ -67,6 +67,7 @@ class HadamardTriple:
 def find_spectrum_set(n_ratio: int, digits: Iterable[int]) -> tuple[int, ...] | None:
     """Lexicographically smallest L in {0..N-1} with 0 in L making (N, D, L)
     a Hadamard triple, or None when no such spectrum set exists."""
+    n_ratio = as_n_ratio(n_ratio)
     if n_ratio > MAX_SEARCH_N:
         raise InvalidInput(f"N = {n_ratio} exceeds the spectrum-set search cap of {MAX_SEARCH_N}")
     d = tuple(sorted(integer_digits(digits)))
@@ -165,6 +166,7 @@ class ProductForm:
     decomposition: StructureDecomposition | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_ratio", as_n_ratio(self.n_ratio))
         object.__setattr__(self, "a_set", integer_digits(self.a_set))
         object.__setattr__(self, "b_sets", tuple(map(integer_digits, self.b_sets)))
         object.__setattr__(self, "l1", integer_digits(self.l1))
@@ -258,12 +260,13 @@ def tiles_zn(c_set: Iterable[int], n_ratio: int) -> tuple[int, ...] | None:
     Backtracking over the candidates that can cover the smallest uncovered
     residue; complements are searched with 0 in B, which loses no generality.
     Each placed block covers that residue, so the next one lies further on;
-    N > MAX_SEARCH_N is refused up front.
+    N < 1 and N > MAX_SEARCH_N are refused up front.
     """
+    n_ratio = as_n_ratio(n_ratio, least=1)
     if n_ratio > MAX_SEARCH_N:
         raise InvalidInput(f"N = {n_ratio} exceeds the tiling search cap of {MAX_SEARCH_N}")
     c = integer_digits(c_set)
-    if n_ratio < 1 or n_ratio % len(c) != 0:
+    if n_ratio % len(c) != 0:
         return None
     c_mod = sorted(x % n_ratio for x in c)
     if len(set(c_mod)) != len(c_mod):

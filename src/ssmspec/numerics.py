@@ -17,7 +17,7 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .exact import InvalidInput, as_fraction, digit_values, integer_digits
+from .exact import InvalidInput, as_fraction, as_n_ratio, digit_values, integer_digits
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -41,8 +41,7 @@ class MuHatEvaluator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "digits", tuple(float(d) for d in digit_values(self.digits)))
-        if self.n_ratio < 2:
-            raise InvalidInput("N must be >= 2")
+        object.__setattr__(self, "n_ratio", as_n_ratio(self.n_ratio))
         if not (0.0 < self.tolerance < 1.0):
             raise InvalidInput("tolerance must lie in (0, 1)")
 
@@ -90,6 +89,11 @@ class MuHatEvaluator:
         distinct differences |d_i - d_j|, i < j, and c_delta counts each.
         """
         arr, kmax = self._arguments(xi)
+        out = self._power(arr, kmax)
+        return float(out[0]) if np.ndim(xi) == 0 else out
+
+    def _power(self, arr: np.ndarray, kmax: int) -> np.ndarray:
+        """`power` over kmax factors at arguments `_arguments` has accepted."""
         d = np.asarray(self.digits)
         i, j = np.triu_indices(d.size, 1)
         deltas, counts = np.unique(np.abs(d[i] - d[j]), return_counts=True)
@@ -103,7 +107,7 @@ class MuHatEvaluator:
                 factor = factor + weight * np.cos(_TWO_PI * (eta * delta))
             out *= factor
         np.maximum(out, 0.0, out=out)  # rounding can leave -1e-17 at an exact zero
-        return float(out[0]) if np.ndim(xi) == 0 else out
+        return out
 
 
 # Largest Gram matrix built.  gram_matrix holds a few n*n arrays (the
@@ -113,10 +117,11 @@ class MuHatEvaluator:
 # (4,095 for range(2048)).
 MAX_GRAM_POINTS = 1 << 11
 # Largest Q function, counted as grid count * points * #D mask terms: the
-# Gram budget above.  power holds a few float arrays of grid count * points,
-# and q_samples_csv renders a block of rows at a time, so `ssmspec qdump` at
-# the cap peaks near 0.48 GB with one digit, 0.38 GB with two and 0.24 GB
-# with four.
+# Gram budget above.  q_function sums power over blocks of _Q_BLOCK_TERMS
+# grid x points terms, and q_samples_csv renders a block of rows at a time,
+# so `ssmspec qdump --out` at the cap holds little beyond the grid and the Q
+# values: it peaks near 160 MB with one digit, 97 MB with two and 66 MB with
+# four (Python 3.11.7).
 MAX_Q_TERMS = 4 * MAX_GRAM_POINTS**2
 
 
@@ -127,6 +132,11 @@ def check_q_terms(ev: MuHatEvaluator, grid_count: int, point_count: int) -> None
             f"Q over {grid_count} grid points, {point_count} points and {len(ev.digits)} digits "
             f"exceeds the limit of {MAX_Q_TERMS} mask terms"
         )
+
+
+# Grid x points terms per block of `q_function`: each temporary array of
+# `_power` is then 512 KB, whatever the grid.
+_Q_BLOCK_TERMS = 1 << 16
 
 
 def _float_points(points: Sequence[Union[int, Fraction]]) -> np.ndarray:
@@ -149,7 +159,18 @@ def q_function(
     check_q_terms(ev, len(xi_grid), len(points))
     pts = _float_points(points)
     grid = np.asarray(xi_grid, dtype=float)
-    return ev.power(grid[:, None] + pts[None, :]).sum(axis=1)
+    if not (grid.size and pts.size):
+        return np.zeros(grid.shape)
+    # Rounded addition is monotone, so these two sums hold the largest |xi| of
+    # the whole grid x points array: every block gets the factor count K of
+    # one `power` call over it, and a row's sum does not depend on its block.
+    _, kmax = ev._arguments([grid.max() + pts.max(), grid.min() + pts.min()])
+    rows = max(1, _Q_BLOCK_TERMS // pts.size)
+    out = np.empty(grid.shape)
+    for start in range(0, grid.size, rows):
+        block = grid[start : start + rows]
+        out[start : start + rows] = ev._power(block[:, None] + pts[None, :], kmax).sum(axis=1)
+    return out
 
 
 def gram_matrix(ev: MuHatEvaluator, points: Sequence[Union[int, Fraction]]) -> np.ndarray:
@@ -171,7 +192,7 @@ def unitarity_defect(n_ratio: int, digits: Sequence[int], spectrum: Sequence[int
     l = np.asarray(integer_digits(spectrum), dtype=float)
     if d.size != l.size:
         raise InvalidInput("digit and spectrum sets must have equal size")
-    h = np.exp(2j * math.pi * np.outer(d, l) / n_ratio) / math.sqrt(d.size)
+    h = np.exp(2j * math.pi * np.outer(d, l) / as_n_ratio(n_ratio)) / math.sqrt(d.size)
     gram = h.conj().T @ h
     return float(np.max(np.abs(gram - np.eye(d.size))))
 

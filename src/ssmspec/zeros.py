@@ -32,6 +32,7 @@ from .exact import (
     IrreducibleWitness,
     NormalizedDigits,
     Unsupported,
+    as_n_ratio,
     digit_values,
     four_digit_shape,
     integer_digits,
@@ -409,8 +410,7 @@ def mu_zero_test(digits: DigitsLike, n_ratio: int, den: int = 1) -> MuZeroTest:
     union over k >= 1 of N**k times the mask zeros (Jorgensen & Pedersen,
     J. Anal. Math. 75 (1998)).
     """
-    if n_ratio < 2:
-        raise InvalidInput("N must be >= 2")
+    n_ratio = as_n_ratio(n_ratio)
     if den < 1:
         raise InvalidInput("the common denominator must be >= 1")
     return MuZeroTest(mask_zero_set(digits), n_ratio, den)

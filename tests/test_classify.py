@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -307,3 +308,36 @@ def test_classification_is_invariant_under_scaling_the_digits(case):
     assert (scaled.outcome, scaled.reason) == (base.outcome, base.reason)
     assert scaled.normalized.integers == base.normalized.integers
     assert _certificate_json(scaled) == _certificate_json(base)
+
+
+def test_the_classify_module_is_reached_by_its_import_path():
+    import ssmspec.classify as module
+
+    assert isinstance(module, types.ModuleType) and module.__name__ == "ssmspec.classify"
+    assert module.classify is classify
+
+
+def test_a_patch_by_dotted_path_reaches_the_classify_module(monkeypatch):
+    import ssmspec.classify as module
+
+    calls = []
+    original = module.normalize_digits
+
+    def counting(dset):
+        calls.append(dset)
+        return original(dset)
+
+    monkeypatch.setattr("ssmspec.classify.normalize_digits", counting)
+    assert classify(F(1, 4), (0, 1, 8, 9)).outcome is Outcome.SPECTRAL
+    assert calls == [DigitSet.of((0, 1, 8, 9))]
+
+
+def test_the_package_binds_only_its_layers_and_version():
+    import ssmspec
+    import ssmspec.cli  # noqa: F401  (imports every layer)
+
+    layers = {"exact", "zeros", "hadamard", "classify", "spectra", "numerics", "cli"}
+    public = {name for name in vars(ssmspec) if not name.startswith("_")}
+    assert public == layers
+    assert all(getattr(ssmspec, name).__name__ == f"ssmspec.{name}" for name in layers)
+    assert ssmspec.__version__ == "0.1.0"

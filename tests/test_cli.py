@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -144,6 +143,49 @@ def test_classify_exits_with_a_documented_code_on_any_text(rho, digits, weights)
 def test_qdump_grid_exits_with_a_documented_code_on_any_text(grid):
     argv = ["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "2", f"--grid={grid}"]
     assert _exit_code(argv) in (0, 1, 2, 64)
+
+
+def _gram_is_large(level, spectrum):
+    """Whether `gram --rho 1/4 --digits 0,2` with this --level and --spectrum
+    text accepts more than 256 points: 2**level for the triple, 2*(2n + 1)
+    for dj:n.  A gram refuses more than 2,048 before building any."""
+    try:
+        level = 4 if level is None else int(level)
+        kind, _, fields = (spectrum or "triple").partition(":")
+        size = 2**level if kind == "triple" else 2 * (2 * int(fields) + 1) if kind == "dj" else 0
+    except ValueError:
+        return False
+    return 256 < size <= 2048
+
+
+@settings(max_examples=80, deadline=None)
+@example("qdump", "-1", "dj:1")
+@example("gram", "-1", None)
+@example("qdump", "16", None)  # 65,536 points: the largest truncation accepted
+@example("qdump", "17", None)
+@given(
+    st.sampled_from(["qdump", "gram"]),
+    st.none() | st.integers(-3, 20).map(str) | _CLI_TEXT,
+    st.none() | st.tuples(st.sampled_from(["triple", "dj:", "greedy:", "greedy:9:"]), st.just("") | _CLI_TEXT).map("".join),
+)
+def test_level_and_spectrum_exit_with_a_documented_code_on_any_text(command, level, spectrum):
+    # qdump runs on a grid of two points; the large accepted grams are left out.
+    assume(command == "qdump" or not _gram_is_large(level, spectrum))
+    argv = [command, "--rho=1/4", "--digits=0,2", *(["--grid=1/2"] if command == "qdump" else [])]
+    argv += [f"{flag}={value}" for flag, value in (("--level", level), ("--spectrum", spectrum)) if value is not None]
+    code = _exit_code(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 64)
+
+
+@pytest.mark.parametrize("command", ["qdump", "gram"])
+@pytest.mark.parametrize("spectrum", ["triple", "dj:1", "greedy:8:4"])
+def test_negative_level_is_a_usage_error(capsys, command, spectrum):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--rho", "1/4", "--digits", "0,2", "--level", "-1", "--spectrum", spectrum])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --level: level must be >= 0" in err
 
 
 # One accepted command line per subcommand.
@@ -402,11 +444,11 @@ def test_oversized_gram_exits_2(capsys, monkeypatch):
 )
 def test_oversized_qdump_exits_2(capsys, monkeypatch, extra):
     # the mask-term cap must refuse before the grid or any transform value is built
-    def no_work(self, xi):
+    def no_work(self, *args):
         raise AssertionError("Q work started")
 
     monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.mu_hat", no_work)
-    monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator.power", no_work)
+    monkeypatch.setattr("ssmspec.numerics.MuHatEvaluator._power", no_work)  # the kernel of power and Q
     code, out, err = run(capsys, "qdump", "--rho", "1/4", "--digits", "0,2", *extra)
     assert code == 2 and out == ""
     assert "exceeds the limit of 16777216 mask terms" in err
@@ -508,9 +550,9 @@ def test_tolerance_env_override(capsys, monkeypatch):
 
 
 def test_scan_normalizes_each_digit_set_once(monkeypatch):
+    import ssmspec.classify as classify_module
     from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
 
-    classify_module = sys.modules["ssmspec.classify"]  # the package binds the function
     calls = []
     original = classify_module.normalize_digits
 

@@ -16,6 +16,7 @@ from ssmspec.exact import (
     WeightVector,
     as_digit,
     as_fraction,
+    as_n_ratio,
     digit_values,
     integer_digits,
     normalize_digits,
@@ -23,6 +24,10 @@ from ssmspec.exact import (
     parse_rational,
     val2,
 )
+from ssmspec.hadamard import HadamardTriple, ProductForm, find_spectrum_set, is_hadamard_triple, tiles_zn
+from ssmspec.numerics import MuHatEvaluator, unitarity_defect
+from ssmspec.spectra import greedy_bizero, is_bizero_set
+from ssmspec.zeros import mu_zero_member, mu_zero_test
 
 
 def norm(values):
@@ -237,3 +242,36 @@ def test_integer_digits_refuses_non_integers():
     for values in ((0, F(5, 2)), (0, "1/2"), (0, Digit(F(3, 2)))):
         with pytest.raises(InvalidInput, match="integer values required"):
             integer_digits(values)
+
+
+# Every entry that takes the inverse ratio N, with the values it refuses;
+# tiles_zn tiles Z_N, so N = 1 is its own to accept.
+_N_ENTRIES = {
+    "find_spectrum_set": lambda n: find_spectrum_set(n, (0, 2)),
+    "is_hadamard_triple": lambda n: is_hadamard_triple(n, (0, 2), (0, 1)),
+    "HadamardTriple": lambda n: HadamardTriple(n, (0, 2), (0, 1)),
+    "ProductForm": lambda n: ProductForm(n, (0, 1), ((0, 2), (0, 2)), (0, 2), (0, 1)),
+    "mu_zero_test": lambda n: mu_zero_test((0, 1), n)(5),
+    "mu_zero_member": lambda n: mu_zero_member((0, 1), n, F(5, 2)),
+    "is_bizero_set": lambda n: is_bizero_set([0, 1, 4], (0, 2), n),
+    "greedy_bizero": lambda n: greedy_bizero((0, 1), n, 10, 3),
+    "MuHatEvaluator": lambda n: MuHatEvaluator((0, 1), n),
+    "unitarity_defect": lambda n: unitarity_defect(n, (0, 2), (0, 1)),
+    "tiles_zn": lambda n: tiles_zn((0, 1), n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_N_ENTRIES))
+def test_n_is_an_integer_at_every_entry(entry):
+    call = _N_ENTRIES[entry]
+    for n in (0 if entry == "tiles_zn" else 1, 2.5, 4.0):
+        with pytest.raises(InvalidInput, match="N must be"):
+            call(n)
+    assert call(np.int64(4)) == call(4)
+
+
+def test_as_n_ratio_gives_an_int():
+    assert type(as_n_ratio(np.int64(4))) is int and as_n_ratio(1, least=1) == 1
+    for n in (F(4), "4"):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            as_n_ratio(n)

@@ -124,7 +124,7 @@ def test_points_beyond_the_float_range_are_refused(monkeypatch):
         raise AssertionError("transform evaluated before the point check")
 
     monkeypatch.setattr(MuHatEvaluator, "mu_hat", no_work)
-    monkeypatch.setattr(MuHatEvaluator, "power", no_work)
+    monkeypatch.setattr(MuHatEvaluator, "_power", no_work)  # the kernel of power and Q
     for points in ([0, 10**400], [0, F(-(10**400), 3)]):
         with pytest.raises(InvalidInput, match="beyond the float range"):
             q_function(ev, points, [0.0, 0.5])
@@ -134,16 +134,59 @@ def test_points_beyond_the_float_range_are_refused(monkeypatch):
 
 def test_q_term_cap(monkeypatch):
     # the cap must refuse before any transform value is computed
-    def no_work(self, xi):
+    def no_work(self, *args):
         raise AssertionError("Q work started")
 
     monkeypatch.setattr(MuHatEvaluator, "mu_hat", no_work)
-    monkeypatch.setattr(MuHatEvaluator, "power", no_work)
+    monkeypatch.setattr(MuHatEvaluator, "_power", no_work)  # the kernel of power and Q
     ev = MuHatEvaluator((0, 2), 4)
     assert MAX_Q_TERMS == 4 * MAX_GRAM_POINTS**2 == 1 << 24
     check_q_terms(ev, 4096, 2048)  # exactly the budget
     with pytest.raises(InvalidInput, match="exceeds the limit of 16777216 mask terms"):
         q_function(ev, range(2049), [j / 4096 for j in range(4096)])
+
+
+@pytest.mark.parametrize("block_terms", [1, 7, 64])
+def test_q_values_do_not_depend_on_the_block_size(monkeypatch, block_terms):
+    # From one row per block up to 64: K comes from the whole grid and each
+    # row is summed on its own, so no value moves.
+    ev = MuHatEvaluator((0, 1, 8, 9), 4)
+    grid = np.arange(-200, 300) / 7
+    sources = (spectrum_truncation(JP, 6), dj_example_spectrum(7), [F(-9, 2)])
+    cases = [(points, q_function(ev, points, grid)) for points in sources]
+    monkeypatch.setattr("ssmspec.numerics._Q_BLOCK_TERMS", block_terms)
+    for points, default in cases:
+        assert np.array_equal(q_function(ev, points, grid), default)
+        # ... and equal to one power call over the whole array
+        whole = ev.power(grid[:, None] + np.array([float(p) for p in points])).sum(axis=1)
+        assert np.array_equal(default, whole)
+
+
+def test_q_keeps_its_empty_results_and_refusals():
+    ev = MuHatEvaluator((0, 2), 4)
+    assert np.array_equal(q_function(ev, [], [0.0, np.nan]), [0.0, 0.0])
+    assert q_function(ev, [0, 1], []).shape == (0,)
+    for grid in ([0.0, np.nan], [-np.inf, 0.5]):
+        with pytest.raises(InvalidInput, match="finite arguments"):
+            q_function(ev, [0, 1], grid)
+    with pytest.raises(InvalidInput, match="overflows a float"):
+        q_function(ev, [0], [1e300])
+
+
+def test_q_is_summed_in_blocks():
+    # 2**20 grid x points terms: one power call over the whole array holds
+    # several 8 MB arrays at once; blocks of 2**16 terms hold under 1 MB each.
+    ev = MuHatEvaluator((0, 2), 4)
+    points = spectrum_truncation(JP, 6)
+    grid = np.arange(1 << 14) / (1 << 14)
+    tracemalloc.start()
+    try:
+        q = q_function(ev, points, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == grid.shape and q.max() <= 1 + 1e-9
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("digits,xi", [((-1, 1), 5.7), ((0, -1), 100.1), ((-3, 0, 1, 2), 100.1)])
