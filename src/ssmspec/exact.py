@@ -51,7 +51,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """An exact rational: an integer (numpy integers too), a Fraction or a
+    """An exact rational: an integer (any `numbers.Integral`), a Fraction or a
     ``"p/q"`` string.  Floats are refused."""
     if type(x) is int:  # the common case, ahead of the slower ABC check below
         return Fraction(x)
@@ -65,8 +65,9 @@ def as_fraction(x: RationalLike) -> Fraction:
 
 
 def as_n_ratio(n, least: int = 2) -> int:
-    """The inverse ratio N as an int: an integer (numpy integers too) of at
-    least `least`; floats such as 4.0 and anything smaller raise InvalidInput."""
+    """The inverse ratio N as an int: an integer (any type with `__index__`)
+    of at least `least`; floats such as 4.0 and anything smaller raise
+    InvalidInput."""
     try:
         n = operator.index(n)
     except TypeError:

@@ -11,19 +11,18 @@ split into antipodal pairs {e, e + q/2}, or form one rotated triangle
 Two independent routes serve as its oracles: the cyclotomic route (the
 coefficient vector reduced modulo Phi_q is zero, `mask_value`, q <= 512) and
 the closed-form zero sets of masks with up to four digits, finite unions of
-scaled residue families.  The test suite checks all three against each other.
+scaled residue families.  The test suite checks all three against each other;
+the vectorized batch forms of the two oracles that it uses live in the tests.
+Every route here computes in Python integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from .exact import (
     DigitSet,
@@ -42,9 +41,6 @@ from .exact import (
 # Largest modulus of the cyclotomic route (power tables modulo Phi_q); the
 # pairing rule needs no table and covers every q for up to four digits.
 _TABLE_MAX = 512
-
-# Power-table coefficients must stay well inside int64 for the numpy path.
-_COEFF_BOUND = 1 << 40
 
 
 def _poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -86,24 +82,21 @@ def cyclotomic_poly(q: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(q: int) -> np.ndarray:
-    """Row e is x**e reduced modulo Phi_q, for e in 0..q-1 (exact integers,
-    checked to stay well inside int64)."""
+def _power_table(q: int) -> tuple[tuple[int, ...], ...]:
+    """Row e is x**e reduced modulo Phi_q, for e in 0..q-1."""
     phi = cyclotomic_poly(q)
     deg = len(phi) - 1
     rows = []
     cur = [0] * deg
     cur[0] = 1
     for _ in range(q):
-        rows.append(cur)
+        rows.append(tuple(cur))
         carry = cur[deg - 1]
         cur = [0] + cur[: deg - 1]
         if carry:
             for j in range(deg):
                 cur[j] -= carry * phi[j]
-    if max((abs(c) for row in rows for c in row), default=0) >= _COEFF_BOUND:
-        raise InternalInconsistency(f"power-table coefficients too large for q={q}")
-    return np.array(rows, dtype=np.int64)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -130,22 +123,21 @@ def mask_value(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> 
     if q > _TABLE_MAX:
         raise Unsupported(f"cyclotomic mask values support denominators up to {_TABLE_MAX}, got {q}")
     table = _power_table(q)
-    exps = [(-d * p) % q for d in integer_digits(digits)]
-    return CyclotomicValue(q, tuple(table[exps].sum(axis=0).tolist()))
+    rows = [table[(-d * p) % q] for d in integer_digits(digits)]
+    return CyclotomicValue(q, tuple(map(sum, zip(*rows))))
 
 
-def _antipodal_partner(exps: Sequence[int], q: int) -> int | None:
-    """For two or four exponents mod q: the first j such that exps[0], exps[j]
-    and the remaining two are antipodal pairs {e, e + q/2}; else None."""
+def _antipodal_pairs(exps: Sequence[int], q: int) -> bool:
+    """Whether two or four exponents mod q split into antipodal pairs {e, e + q/2}."""
     if q % 2:
-        return None
+        return False
     half = q // 2
     for j in range(1, len(exps)):
         if (exps[j] - exps[0]) % q == half:
             rest = exps[1:j] + exps[j + 1 :]
             if not rest or (rest[1] - rest[0]) % q == half:
-                return j
-    return None
+                return True
+    return False
 
 
 def _vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
@@ -157,61 +149,13 @@ def _vanishes_at(ints: Sequence[int], p: int, q: int) -> bool:
     exps = [d * p % q for d in ints]
     if len(exps) == 3:
         return q % 3 == 0 and sorted((e - exps[0]) % q for e in exps[1:]) == [q // 3, 2 * q // 3]
-    return _antipodal_partner(exps, q) is not None
+    return _antipodal_pairs(exps, q)
 
 
 def mask_vanishes(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> bool:
     """Exact zero test of the mask of integer digits (others are refused) at the rational xi."""
     xi = Fraction(xi)
     return _vanishes_at(integer_digits(digits), xi.numerator, xi.denominator)
-
-
-# Batch products at or above this are refused rather than wrapped in int64.
-_INT64_SAFE = 1 << 62
-
-
-def _int64_numerators(numerators: np.ndarray, factor: int) -> np.ndarray:
-    """The numerators as int64, refusing any p with |p| * factor near 2**63."""
-    p = np.asarray(numerators, dtype=np.int64)
-    if max(int(p.max(initial=0)), -int(p.min(initial=0))) * factor >= _INT64_SAFE:
-        raise InvalidInput(f"batch numerators times {factor} would overflow int64")
-    return p
-
-
-def mask_zero_batch(digits: Iterable[int], q: int, numerators: np.ndarray) -> np.ndarray:
-    """Vectorized exact zero test of the mask at p/q for every p in `numerators`."""
-    if q > _TABLE_MAX:
-        raise InvalidInput(f"batch mask test supports denominators up to {_TABLE_MAX}")
-    table = _power_table(q)
-    ints = integer_digits(digits)
-    d = np.asarray(ints, dtype=np.int64)
-    p = _int64_numerators(numerators, max(map(abs, ints), default=0))
-    exps = (-(p[:, None] * d[None, :])) % q
-    vals = table[exps].sum(axis=1)
-    return ~vals.any(axis=1)
-
-
-class VanishingCase(Enum):
-    """Which pairing system annihilates a four-term mask at a given point.
-
-    A vanishing sum of four unit complex numbers splits into two pairs of
-    opposite numbers; for digits {0, d1, d2, d3} the three possible pairings
-    anchor 0 against d1, d2 or d3 respectively.
-    """
-
-    CASE1 = "Case1"  # d1*xi and (d3-d2)*xi both half-odd
-    CASE2 = "Case2"  # d2*xi and (d3-d1)*xi both half-odd
-    CASE3 = "Case3"  # d3*xi and (d2-d1)*xi both half-odd
-
-
-def vanishing_case(digits: Union[NormalizedDigits, Iterable[int]], xi: Fraction) -> VanishingCase | None:
-    """Identify the pairing that makes a four-digit mask vanish at xi, if any."""
-    ints = sorted(integer_digits(digits))
-    if len(ints) != 4:
-        raise InvalidInput("vanishing_case needs exactly four digits")
-    xi = Fraction(xi)
-    partner = _antipodal_partner([d * xi.numerator % xi.denominator for d in ints], xi.denominator)
-    return None if partner is None else list(VanishingCase)[partner - 1]
 
 
 @dataclass(frozen=True)
@@ -339,22 +283,6 @@ def zero_set(digits: NormalizedDigits) -> ZeroSet:
         p3 = math.gcd(ell1, ell2)
         parts.append(odd_multiples(Fraction(1, (1 << (1 + t1)) * p3)))
     return ZeroSet.of(parts)
-
-
-def zero_set_member_batch(zs: ZeroSet, q: int, numerators: np.ndarray) -> np.ndarray:
-    """Vectorized membership of p/q in a zero set for every p in `numerators`."""
-    factor = max((part.scale.denominator for part in zs.parts), default=0)
-    p = _int64_numerators(numerators, factor)
-    if any(q * part.scale.numerator >= _INT64_SAFE for part in zs.parts):
-        raise InvalidInput(f"batch denominator {q} would overflow int64")
-    out = np.zeros(p.shape, dtype=bool)
-    for part in zs.parts:
-        num = p * part.scale.denominator
-        den = q * part.scale.numerator
-        integral = num % den == 0
-        n = np.where(integral, num // den, 0)
-        out |= integral & (n % part.modulus != 0)
-    return out
 
 
 DigitsLike = Union[NormalizedDigits, DigitSet, Iterable]

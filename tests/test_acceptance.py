@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 import numpy as np
+from zero_oracles import mask_zero_batch, zero_set_member_batch
 
 from ssmspec.classify import Outcome, Reason, classify, hu_lau_infinite_bizero
 from ssmspec.cli import ScanConfig, run_scan
@@ -26,7 +27,7 @@ from ssmspec.hadamard import (
 )
 from ssmspec.numerics import MuHatEvaluator, gram_matrix, q_function, unitarity_defect
 from ssmspec.spectra import dj_example_spectrum, is_bizero_set, spectrum_truncation
-from ssmspec.zeros import mask_zero_batch, zero_set, zero_set_member_batch
+from ssmspec.zeros import zero_set
 
 # Q_8 minimum over the 1/256 grid for the middle-fourth pair; frozen
 # regression computed by this implementation (criterion 2).

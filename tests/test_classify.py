@@ -310,6 +310,17 @@ def test_classification_is_invariant_under_scaling_the_digits(case):
     assert _certificate_json(scaled) == _certificate_json(base)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 199), st.integers(1, 2**64))
+def test_one_measure_two_ifss_one_verdict(n, d):
+    # mu_{1/N, {0, d}} is also mu_{1/N**2, {0, d} + N*{0, d}}: two steps of the
+    # first IFS are one step of the second, so the four-digit rule must give
+    # the two-digit verdict.
+    two = classify(F(1, n), (0, d))
+    four = classify(F(1, n * n), (0, d, n * d, (n + 1) * d))
+    assert (four.outcome, four.reason) == (two.outcome, two.reason)
+
+
 def test_the_classify_module_is_reached_by_its_import_path():
     import ssmspec.classify as module
 

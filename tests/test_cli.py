@@ -136,6 +136,27 @@ def test_classify_exits_with_a_documented_code_on_any_text(rho, digits, weights)
     assert _exit_code(argv) in (0, 1, 2, 64)
 
 
+_RATIONAL_TEXT = st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+
+
+@settings(max_examples=100, deadline=None)
+@example("1/4", "0,1,8,9", True, ["1", "1", "1", "1"])
+@example("1/4", "0,1,2,3", True, ["1"] * 64)
+@given(
+    st.sampled_from(["1/4", "1/6", "2/7"]) | _CLI_TEXT,
+    st.sampled_from(["0", "0,1", "0,1,2", "0,1,8,9", "0,1,t,9", "0,1,2,3,4"]) | _CLI_TEXT,
+    st.booleans(),
+    st.lists(st.sampled_from(["1", "1/2"]) | _RATIONAL_TEXT, max_size=64),
+)
+def test_classify_exits_with_a_documented_code_on_any_weights(rho, digits, explain, weights):
+    # 0 to 64 rational weights, with or without --explain; a MemoryError or
+    # any other exception fails the test.
+    argv = ["classify", f"--rho={rho}", f"--digits={digits}", f"--weights={','.join(weights)}"]
+    if explain:
+        argv.append("--explain")
+    assert _exit_code(argv) in (0, 1, 2, 64)
+
+
 @settings(max_examples=60, deadline=None)
 @example("1/0")
 @example("--")
