@@ -197,9 +197,10 @@ def digit_facts(digits: Union[DigitFacts, DigitSet, Iterable]) -> DigitFacts:
         return DigitFacts(digit_text)
     if isinstance(norm, IrreducibleWitness):
         return DigitFacts(digit_text, norm)
-    has_zeros = norm.cardinality > 1 and not zero_set(norm).is_empty
-    shape = four_digit_shape(norm.integers) if has_zeros and norm.cardinality == 4 else None
-    return DigitFacts(digit_text, norm, has_zeros, shape)
+    if norm.cardinality == 4:  # zero_set's own rule: the mask vanishes iff the shape exists
+        shape = four_digit_shape(norm.integers)
+        return DigitFacts(digit_text, norm, shape is not None, shape)
+    return DigitFacts(digit_text, norm, norm.cardinality > 1 and not zero_set(norm).is_empty)
 
 
 def classify(
@@ -212,8 +213,8 @@ def classify(
     Pipeline, in order: (1) weights must be uniform; (2) digits must
     normalize to integers (digit ratios rational); (3) the mask zero set must
     be nonempty; (4) rho must be 1/N for an integer N >= 2; then the
-    cardinality-specific criterion decides, emitting an exactly verified
-    certificate on success.  The digit steps come from `digit_facts`, so
+    cardinality-specific criterion decides; a Spectral verdict's certificate
+    is verified exactly here.  The digit steps come from `digit_facts`, so
     passing a DigitFacts skips them.
     """
     ratio = _as_ratio(rho)
@@ -227,6 +228,8 @@ def classify(
         weight_text, uniform = wvec.display(), wvec.is_uniform
     if uniform or not facts.supported:
         reason, citations, certificate = _decide(ratio, facts)
+        if certificate is not None and not certificate.verify():
+            raise InternalInconsistency(f"certificate failed verification at rho = {ratio}: {certificate.describe()}")
         normalized = facts.normalized
     else:
         reason, citations, certificate, normalized = Reason.UNEQUAL_WEIGHTS, ("equal-weights",), None, None
@@ -234,7 +237,7 @@ def classify(
 
 
 def _decide(ratio: ContractionRatio, facts: DigitFacts) -> tuple[Reason, tuple[str, ...], Optional[Certificate]]:
-    """The rule in rho for uniform weights: (reason, citation keys, certificate)."""
+    """The rule in rho for uniform weights: (reason, citation keys, unverified certificate)."""
     if not facts.supported:
         return Reason.UNSUPPORTED, ("five-plus",), None
 
@@ -262,10 +265,8 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts) -> tuple[Reason, tuple[s
         if n_ratio % card:
             reason = Reason.N_ODD if card == 2 else Reason.CARD3_N_NOT_DIVISIBLE_BY_3
             return reason, (rule, "zero-containment"), None
-        triple = HadamardTriple(n_ratio, facts.normalized.integers, tuple(j * n_ratio // card for j in range(card)))
-        if not triple.verify():
-            raise InternalInconsistency(f"{card}-digit certificate failed verification")
-        return Reason.OK, (rule,), triple
+        spectrum = tuple(j * n_ratio // card for j in range(card))
+        return Reason.OK, (rule,), HadamardTriple(n_ratio, facts.normalized.integers, spectrum)
 
     # Four digits with a nonempty zero set: exactly two of the nonzero digits
     # are odd, and the classification runs on the 2-adic valuations.

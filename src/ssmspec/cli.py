@@ -204,23 +204,25 @@ def run_scan(cfg: ScanConfig, violations: list[str]) -> Iterator[dict]:
 
     Each broken invariant is appended to ``violations`` as its row goes by,
     so the list is complete only once the generator is exhausted.  A row
-    costs `classify`'s rule in N and a certificate check, nothing more.
+    costs `classify`'s rule in N and one check of its certificate, if any.
     """
     ratios = [(n, ContractionRatio.rational(Fraction(1, n))) for n in range(cfg.n_min, cfg.n_max + 1)]
+    plain = {reason: (reason.outcome.value, reason.value, "") for reason in Reason}  # row text with no certificate
     for digits in enumerate_digit_sets(cfg.cardinality, cfg.digit_bound):
         facts = digit_facts(DigitSet.of(digits))
         label = ",".join(str(d) for d in digits)
         for n_ratio, ratio in ratios:
             reason, _, certificate = _decide(ratio, facts)
-            cert_ok = None if certificate is None else certificate.verify()
+            outcome, reason_text, cert_ok = plain[reason]
+            if certificate is not None:
+                cert_ok = str(certificate.verify()).lower()
             if reason is Reason.OK:
-                if cert_ok is not True:
+                if cert_ok != "true":
                     violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
                 if cfg.cardinality == 4:
                     problems = _card4_invariants(facts.normalized.integers, n_ratio)
                     violations.extend(f"{label} N={n_ratio}: {problem}" for problem in problems)
-            yield {"digits": label, "N": n_ratio, "outcome": reason.outcome.value, "reason": reason.value,
-                   "certificate_ok": "" if cert_ok is None else str(cert_ok).lower()}
+            yield {"digits": label, "N": n_ratio, "outcome": outcome, "reason": reason_text, "certificate_ok": cert_ok}
 
 
 # The columns of the scan table: the keys of a `run_scan` row, in order.

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
-from .exact import InternalInconsistency, InvalidInput, as_n_ratio, integer_digits
+from .exact import InvalidInput, as_n_ratio, integer_digits
 from .zeros import _vanishes_at
 
 # `find_spectrum_set` fills a table of N entries; larger N is refused up front.
@@ -217,26 +217,20 @@ class ProductForm:
 
 def verify_product_form(pf: ProductForm) -> bool:
     """Exact check of every product-form condition; False on any failure."""
-    if pf.reconstruct_digits() is None:
-        return False
-    if not _is_hadamard(pf.n_ratio, pf.a_set, pf.l1):
+    if pf.reconstruct_digits() is None or not _is_hadamard(pf.n_ratio, pf.a_set, pf.l1):
         return False
     lsum = direct_sum(pf.l1, pf.l2)
-    if lsum is None:
-        return False
-    for bs in pf.b_sets:
-        if not _is_hadamard(pf.n_ratio, bs, pf.l2):
-            return False
-        dsum = direct_sum(pf.a_set, bs)
-        if dsum is None:
-            return False
-        if not _is_hadamard(pf.n_ratio, dsum, lsum):
-            return False
-    return True
+    return lsum is not None and all(
+        _is_hadamard(pf.n_ratio, bs, pf.l2)
+        and (dsum := direct_sum(pf.a_set, bs)) is not None
+        and _is_hadamard(pf.n_ratio, dsum, lsum)
+        for bs in pf.b_sets
+    )
 
 
 def construct_product_form(dec: StructureDecomposition) -> ProductForm:
-    """Build and exactly verify the product-form witness for a decomposition.
+    """Build the product-form witness for a decomposition, unverified: its
+    callers check it once (`classify.classify` and the scan do).
 
     The blocks follow the one-stage construction: A = {0, a*m**k} with the two
     B blocks {0, 2**r * ell} and {0, 2**r * ell'}, L1 = {0, N/2} and
@@ -248,10 +242,7 @@ def construct_product_form(dec: StructureDecomposition) -> ProductForm:
     # a*m**k is odd, the direct sums cannot collide, and the mask of {0, x, y, x+y}
     # is the product of the masks of {0, x} and {0, y}, so the sum triple holds.
     step = math.lcm(*(dec.m // math.gcd(dec.m, x) for x in (dec.ell, dec.ell_prime))) << (dec.beta - dec.r - 1)
-    pf = ProductForm(dec.n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, dec.n_ratio // 2), (0, step), dec)
-    if not verify_product_form(pf):
-        raise InternalInconsistency(f"no verifiable product form for {dec.to_json()} at N={dec.n_ratio}")
-    return pf
+    return ProductForm(dec.n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, dec.n_ratio // 2), (0, step), dec)
 
 
 def tiles_zn(c_set: Iterable[int], n_ratio: int) -> tuple[int, ...] | None:

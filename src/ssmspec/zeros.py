@@ -81,7 +81,12 @@ def cyclotomic_poly(q: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+# Tables kept by `_power_table`: 24 is the most divisors of any q <= 512, so one
+# five-digit spectrum-set search (its moduli divide N) builds each table once.
+POWER_TABLE_CACHE_SIZE = 24
+
+
+@lru_cache(maxsize=POWER_TABLE_CACHE_SIZE)
 def _power_table(q: int) -> tuple[tuple[int, ...], ...]:
     """Row e is x**e reduced modulo Phi_q, for e in 0..q-1."""
     phi = cyclotomic_poly(q)

@@ -205,6 +205,17 @@ def test_digit_facts_reused_over_n_equal_fresh_classify():
                 _same_verdict(F(1, n), digits, facts)
 
 
+def test_four_digit_facts_agree_with_the_zero_set():
+    # digit_facts reads a four-digit set's zeros off its shape; zero_set and
+    # the parity rule (exactly two odd digits) are the other routes.
+    from ssmspec.cli import enumerate_digit_sets
+
+    for digits in enumerate_digit_sets(4, 20):
+        facts = digit_facts(digits)
+        assert facts.has_zeros == (not zero_set(facts.normalized).is_empty), digits
+        assert facts.has_zeros == (sum(d % 2 for d in facts.normalized.integers) == 2), digits
+
+
 @pytest.mark.parametrize(
     "rho,digits,weights",
     [

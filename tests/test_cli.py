@@ -588,9 +588,9 @@ def test_scan_normalizes_each_digit_set_once(monkeypatch):
     assert len(calls) == len(enumerate_digit_sets(4, 15)) == 409
 
 
-def test_scan_verifies_each_certificate_again(monkeypatch):
-    # Each Spectral row's product form is verified when it is built and once
-    # more by the scan, through ProductForm.verify.
+def test_scan_verifies_each_certificate_once(monkeypatch):
+    # Each Spectral row's product form is built unverified and verified once,
+    # by the scan, through ProductForm.verify.
     import ssmspec.hadamard as hadamard
     from ssmspec.cli import ScanConfig, run_scan
 
@@ -613,7 +613,41 @@ def test_scan_verifies_each_certificate_again(monkeypatch):
     assert not violations and spectral > 0
     assert all(row["certificate_ok"] == "true" for row in rows if row["outcome"] == "Spectral")
     assert len(verify_calls) == spectral
-    assert len(check_calls) == 2 * spectral
+    assert len(check_calls) == spectral
+
+
+def test_a_failing_certificate_is_refused_by_classify_and_reported_by_scan(capsys, monkeypatch):
+    # Certificates are built unverified: classify() raises on one that fails,
+    # and the scan reports it as a violation, exit 1, instead of a traceback.
+    import ssmspec.classify as classify_module
+    from ssmspec.exact import InternalInconsistency
+    from ssmspec.hadamard import ProductForm, StructureDecomposition, construct_product_form
+
+    good = construct_product_form(StructureDecomposition(a=1, t=3, ell=1, ell_prime=1, beta=2, m=1))
+    bad = ProductForm(good.n_ratio, good.a_set, good.b_sets, good.l1, (0, 4))
+    monkeypatch.setattr(classify_module, "construct_product_form", lambda dec: bad)
+    with pytest.raises(InternalInconsistency, match="certificate failed verification"):
+        classify_module.classify(Fraction(1, 4), (0, 1, 8, 9))
+    code, out, err = run(capsys, "scan", "--cardinality", "4", "--digit-bound", "9", "--n-min", "4", "--n-max", "4")
+    assert code == 1
+    assert '"0,1,8,9",4,Spectral,OK,false' in out.splitlines()
+    assert "violation: 0,1,8,9 N=4: Spectral without verified certificate" in err.splitlines()
+
+
+def test_scan_rows_agree_with_a_fresh_classify():
+    # Each row's outcome, reason and certificate_ok, against classify() of its
+    # digit tuple at 1/N, for every gcd-1 set of 2, 3 and 4 digits up to 12.
+    from ssmspec.classify import classify
+    from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
+
+    for card in (2, 3, 4):
+        violations = []
+        rows = list(run_scan(ScanConfig(card, 12, 2, 64), violations))
+        assert not violations and len(rows) == len(enumerate_digit_sets(card, 12)) * 63
+        for row in rows:
+            v = classify(Fraction(1, row["N"]), tuple(int(d) for d in row["digits"].split(",")))
+            cert_ok = "" if v.certificate is None else str(v.certificate.verify()).lower()
+            assert (row["outcome"], row["reason"], row["certificate_ok"]) == (v.outcome.value, v.reason.value, cert_ok), row
 
 
 def test_scan_zero_set_cache_stays_bounded():

@@ -73,6 +73,21 @@ def test_cyclotomic_order_bound(monkeypatch):
 # ------------------------------------------------------- exact mask values
 
 
+def test_power_table_cache_stays_bounded():
+    from ssmspec.hadamard import find_spectrum_set
+    from ssmspec.zeros import POWER_TABLE_CACHE_SIZE, _power_table
+
+    _power_table.cache_clear()
+    for q in range(400, 513):
+        mask_value((0, 1, 3, 5, 7), F(1, q))
+        assert _power_table.cache_info().currsize <= POWER_TABLE_CACHE_SIZE
+    # A five-digit search at the N with the most divisors builds each table once.
+    _power_table.cache_clear()
+    assert find_spectrum_set(360, (0, 1, 2, 3, 4)) == (0, 72, 144, 216, 288)
+    moduli = {360 // math.gcd(delta, 360) for delta in range(1, 360)}
+    assert _power_table.cache_info().misses == len(moduli) <= POWER_TABLE_CACHE_SIZE
+
+
 def test_mask_eval_examples():
     assert mask_value(norm([0, 1, 2, 3]), F(1, 4)).is_zero
     assert mask_value((0, 2), F(1, 4)).is_zero
