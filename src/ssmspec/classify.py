@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .exact import (
     ContractionRatio,
@@ -110,8 +110,7 @@ class Dirac:
 Certificate = Union[Dirac, HadamardTriple, ProductForm]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     reason: Reason
     citations: tuple[str, ...]
     rho_text: str
@@ -159,8 +158,7 @@ def hu_lau_infinite_bizero(rho: RhoLike) -> bool:
     return ratio.base.denominator % 2 == 0 and ratio.base.numerator % 2 == 1
 
 
-@dataclass(frozen=True)
-class DigitFacts:
+class DigitFacts(NamedTuple):
     """Everything `classify` reads from a digit set; no part depends on rho.
 
     ``normalized`` is what `normalize_digits` returned for one to four
@@ -227,7 +225,7 @@ def classify(
             raise InvalidInput("weight count must match digit count")
         weight_text, uniform = wvec.display(), wvec.is_uniform
     if uniform or not facts.supported:
-        reason, citations, certificate = _decide(ratio, facts)
+        reason, citations, certificate = _decide(ratio.reciprocal_integer(), facts)
         if certificate is not None and not certificate.verify():
             raise InternalInconsistency(f"certificate failed verification at rho = {ratio}: {certificate.describe()}")
         normalized = facts.normalized
@@ -236,8 +234,8 @@ def classify(
     return Verdict(reason, citations, str(ratio), facts.digit_text, weight_text, normalized, certificate)
 
 
-def _decide(ratio: ContractionRatio, facts: DigitFacts) -> tuple[Reason, tuple[str, ...], Optional[Certificate]]:
-    """The rule in rho for uniform weights: (reason, citation keys, unverified certificate)."""
+def _decide(n_ratio: Optional[int], facts: DigitFacts) -> tuple[Reason, tuple[str, ...], Optional[Certificate]]:
+    """The rule for uniform weights at rho = 1/N, N None for other rho: (reason, citations, unverified certificate)."""
     if not facts.supported:
         return Reason.UNSUPPORTED, ("five-plus",), None
 
@@ -254,7 +252,6 @@ def _decide(ratio: ContractionRatio, facts: DigitFacts) -> tuple[Reason, tuple[s
         cites = ("parity", "empty-zero-set") if card == 4 else ("card3-residues", "empty-zero-set")
         return Reason.EMPTY_ZERO_SET, cites, None
 
-    n_ratio = ratio.reciprocal_integer()
     if n_ratio is None:
         return Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",), None
 

@@ -206,13 +206,12 @@ def run_scan(cfg: ScanConfig, violations: list[str]) -> Iterator[dict]:
     so the list is complete only once the generator is exhausted.  A row
     costs `classify`'s rule in N and one check of its certificate, if any.
     """
-    ratios = [(n, ContractionRatio.rational(Fraction(1, n))) for n in range(cfg.n_min, cfg.n_max + 1)]
     plain = {reason: (reason.outcome.value, reason.value, "") for reason in Reason}  # row text with no certificate
     for digits in enumerate_digit_sets(cfg.cardinality, cfg.digit_bound):
         facts = digit_facts(DigitSet.of(digits))
         label = ",".join(str(d) for d in digits)
-        for n_ratio, ratio in ratios:
-            reason, _, certificate = _decide(ratio, facts)
+        for n_ratio in range(cfg.n_min, cfg.n_max + 1):
+            reason, _, certificate = _decide(n_ratio, facts)
             outcome, reason_text, cert_ok = plain[reason]
             if certificate is not None:
                 cert_ok = str(certificate.verify()).lower()

@@ -260,8 +260,7 @@ class NormalizedDigits:
         return {"scale": str(self.scale), "integers": list(self.integers)}
 
 
-@dataclass(frozen=True)
-class IrreducibleWitness:
+class IrreducibleWitness(NamedTuple):
     """Two digits whose ratio is irrational; no integer rescaling exists."""
 
     numerator: Digit

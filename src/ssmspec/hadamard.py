@@ -10,14 +10,18 @@ unitarity cross-check lives in the numerics module.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
 
-from .exact import InvalidInput, as_n_ratio, integer_digits
+from .exact import InvalidInput, Unsupported, as_n_ratio, integer_digits
 from .zeros import _vanishes_at
 
 # `find_spectrum_set` fills a table of N entries; larger N is refused up front.
 MAX_SEARCH_N = 1 << 16
+
+# Most decimal digits of a product-form digit: Python's default int-to-text limit, not PYTHONINTMAXSTRDIGITS.
+MAX_CERTIFICATE_DIGITS = 4300
+_CERTIFICATE_CEILING = 10**MAX_CERTIFICATE_DIGITS
 
 
 def is_hadamard_triple(n_ratio: int, digits: Iterable[int], spectrum: Iterable[int]) -> bool:
@@ -100,13 +104,13 @@ def direct_sum(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...] | None:
     return sums
 
 
-@dataclass(frozen=True)
-class StructureDecomposition:
+class StructureDecomposition(NamedTuple):
     """Shape certificate for a spectral four-digit system.
 
     The digits are {0, a, 2**t * ell, a + 2**t * ell_prime} with a, ell,
     ell_prime odd; the inverse contraction ratio is N = 2**beta * m with m
     odd, and beta does not divide t, so t = beta*k + r with 0 < r < beta.
+    `construct_product_form` refuses any other decomposition.
     """
 
     a: int
@@ -115,14 +119,6 @@ class StructureDecomposition:
     ell_prime: int
     beta: int
     m: int
-
-    def __post_init__(self) -> None:
-        if min(self.a, self.ell, self.ell_prime) < 1 or not all(
-            v % 2 for v in (self.a, self.ell, self.ell_prime, self.m)
-        ):
-            raise InvalidInput("a, ell, ell_prime, m must be positive odd integers")
-        if self.t < 1 or self.beta < 1 or self.t % self.beta == 0:
-            raise InvalidInput("t >= 1 and beta >= 1 required, with beta not dividing t")
 
     @property
     def k(self) -> int:
@@ -136,13 +132,8 @@ class StructureDecomposition:
     def n_ratio(self) -> int:
         return (1 << self.beta) * self.m
 
-    def digit_tuple(self) -> tuple[int, ...]:
-        b = (1 << self.t) * self.ell
-        c = self.a + (1 << self.t) * self.ell_prime
-        return tuple(sorted({0, self.a, b, c}))
-
     def to_json(self) -> dict:
-        return {**asdict(self), "k": self.k, "r": self.r}
+        return {**self._asdict(), "k": self.k, "r": self.r}
 
 
 @dataclass(frozen=True)
@@ -235,14 +226,24 @@ def construct_product_form(dec: StructureDecomposition) -> ProductForm:
     The blocks follow the one-stage construction: A = {0, a*m**k} with the two
     B blocks {0, 2**r * ell} and {0, 2**r * ell'}, L1 = {0, N/2} and
     L2 = {0, l} for the least l that makes both B blocks Hadamard with it.
+    A digit past MAX_CERTIFICATE_DIGITS decimal digits is refused (Unsupported) unbuilt.
     """
-    b_sets = ((0, (1 << dec.r) * dec.ell), (0, (1 << dec.r) * dec.ell_prime))
+    if min(dec.a, dec.ell, dec.ell_prime) < 1 or not all(v % 2 for v in (dec.a, dec.ell, dec.ell_prime, dec.m)):
+        raise InvalidInput("a, ell, ell_prime, m must be positive odd integers")
+    if dec.t < 1 or dec.beta < 1 or dec.t % dec.beta == 0:
+        raise InvalidInput("t >= 1 and beta >= 1 required, with beta not dividing t")
+    # The largest digit is a*m**k + N*2**r*ell' or N*2**r*ell; as m**k >= 2**(k*(bits of m - 1)), a large k needs no m**k.
+    n_ratio, k, r = dec.n_ratio, dec.k, dec.r
+    a_mk = _CERTIFICATE_CEILING if k * (dec.m.bit_length() - 1) >= _CERTIFICATE_CEILING.bit_length() else dec.a * dec.m**k
+    if max(a_mk + (n_ratio << r) * dec.ell_prime, (n_ratio << r) * dec.ell) >= _CERTIFICATE_CEILING:
+        raise Unsupported(f"the product-form certificate would hold a digit of more than {MAX_CERTIFICATE_DIGITS} decimal digits")
+    b_sets = ((0, (1 << r) * dec.ell), (0, (1 << r) * dec.ell_prime))
     # (N, {0, 2**r * x}, {0, l}) is Hadamard iff l = 2**(beta-r-1) * (m/gcd(m, x)) * odd,
     # so `step` (<= N/4) is the least l serving both blocks.  (N, A, L1) holds as
     # a*m**k is odd, the direct sums cannot collide, and the mask of {0, x, y, x+y}
     # is the product of the masks of {0, x} and {0, y}, so the sum triple holds.
-    step = math.lcm(*(dec.m // math.gcd(dec.m, x) for x in (dec.ell, dec.ell_prime))) << (dec.beta - dec.r - 1)
-    return ProductForm(dec.n_ratio, (0, dec.a * dec.m**dec.k), b_sets, (0, dec.n_ratio // 2), (0, step), dec)
+    step = math.lcm(*(dec.m // math.gcd(dec.m, x) for x in (dec.ell, dec.ell_prime))) << (dec.beta - r - 1)
+    return ProductForm(n_ratio, (0, a_mk), b_sets, (0, n_ratio // 2), (0, step), dec)
 
 
 def tiles_zn(c_set: Iterable[int], n_ratio: int) -> tuple[int, ...] | None:

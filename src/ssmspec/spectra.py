@@ -8,9 +8,8 @@ given (scale a spectrum by 1/alpha to map back to a rescaled digit set).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exact import InvalidInput, as_fraction
 from .hadamard import HadamardTriple
@@ -51,8 +50,7 @@ def spectrum_truncation(triple: HadamardTriple, level: int) -> tuple[int, ...]:
     return tuple(sorted(points))
 
 
-@dataclass(frozen=True)
-class BiZeroReport:
+class BiZeroReport(NamedTuple):
     violating_pair: Optional[tuple[Fraction, Fraction]] = None
 
     @property

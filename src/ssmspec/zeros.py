@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .exact import (
     DigitSet,
@@ -104,8 +104,7 @@ def _power_table(q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CyclotomicValue:
+class CyclotomicValue(NamedTuple):
     """An element of Z[e^(2*pi*i/order)] in the power basis modulo Phi_order."""
 
     order: int
@@ -212,8 +211,7 @@ def odd_multiples(scale: Fraction) -> ScaledResidues:
     return ScaledResidues(Fraction(scale), 2)
 
 
-@dataclass(frozen=True)
-class ZeroSet:
+class ZeroSet(NamedTuple):
     """A finite union of scaled residue families; empty parts = empty set."""
 
     parts: tuple[ScaledResidues, ...]
@@ -310,8 +308,7 @@ def mask_zero_set(digits: DigitsLike) -> ZeroSet:
     return zero_set(norm).scaled(1 / norm.scale.rational)
 
 
-@dataclass(frozen=True)
-class MuZeroTest:
+class MuZeroTest(NamedTuple):
     """Membership of u/den in the transform's zero set for nonzero integers u;
     built by `mu_zero_test`."""
 
@@ -322,15 +319,16 @@ class MuZeroTest:
     def __call__(self, u: int) -> bool:
         if u == 0:
             raise InvalidInput("0 is never in the zero set")
+        n_ratio, den = self.n_ratio, self.den  # read once: a NamedTuple field read is slow in this loop
         for part in self.mask_zeros.parts:
             # u/den = scale * N**k * n with scale = a/b means n = u*b / (den*a*N**k),
             # and n is an integer at level k only if it is one at level k - 1.
-            num, divisor = u * part.scale.denominator, self.den * part.scale.numerator
+            num, divisor = u * part.scale.denominator, den * part.scale.numerator
             if num % divisor:
                 continue
             n = num // divisor
-            while n % self.n_ratio == 0:
-                n //= self.n_ratio
+            while n % n_ratio == 0:
+                n //= n_ratio
                 if n % part.modulus:
                     return True
         return False

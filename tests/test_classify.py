@@ -1,27 +1,43 @@
+import dataclasses
+import importlib
 import itertools
+import json
 import math
+import pkgutil
 import random
+import time
 import types
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssmspec.classify import (
     CITATIONS,
+    DigitFacts,
     Dirac,
     Outcome,
     Reason,
+    Verdict,
     classify,
     digit_facts,
     explain,
     hu_lau_infinite_bizero,
 )
-from ssmspec.exact import ContractionRatio, DigitSet, InvalidInput, IrreducibleWitness, WeightVector
-from ssmspec.hadamard import verify_product_form
-from ssmspec.zeros import zero_set
+from ssmspec.exact import (
+    ContractionRatio,
+    Digit,
+    DigitSet,
+    InvalidInput,
+    IrreducibleWitness,
+    Unsupported,
+    WeightVector,
+)
+from ssmspec.hadamard import MAX_CERTIFICATE_DIGITS, StructureDecomposition, verify_product_form
+from ssmspec.spectra import BiZeroReport
+from ssmspec.zeros import CyclotomicValue, MuZeroTest, ZeroSet, zero_set
 
 
 CASES = [
@@ -363,3 +379,124 @@ def test_the_package_binds_only_its_layers_and_version():
     assert public == layers
     assert all(getattr(ssmspec, name).__name__ == f"ssmspec.{name}" for name in layers)
     assert ssmspec.__version__ == "0.1.0"
+
+
+def test_only_records_that_check_their_fields_are_dataclasses():
+    # A frozen dataclass earns its cost at import by validating or coercing
+    # its fields in __post_init__; a record that only holds values is a
+    # NamedTuple.  Dirac has no fields, and an empty NamedTuple is falsy.
+    import ssmspec
+
+    found = {}
+    for info in pkgutil.iter_modules(ssmspec.__path__):
+        module = importlib.import_module(f"ssmspec.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                found[f"{info.name}.{name}"] = obj
+    assert sorted(found) == [
+        "classify.Dirac",
+        "cli.ScanConfig",
+        "exact.ContractionRatio",
+        "exact.Digit",
+        "exact.DigitSet",
+        "exact.NormalizedDigits",
+        "exact.WeightVector",
+        "hadamard.HadamardTriple",
+        "hadamard.ProductForm",
+        "numerics.MuHatEvaluator",
+        "zeros.ScaledResidues",
+    ]
+    assert [name for name, cls in found.items() if "__post_init__" not in vars(cls)] == ["classify.Dirac"]
+
+
+@pytest.mark.parametrize(
+    "record,text",
+    [
+        (
+            IrreducibleWitness(Digit(1), Digit(0, 1)),
+            "IrreducibleWitness(numerator=Digit(rational=1, tau_coeff=0), denominator=Digit(rational=0, tau_coeff=1))",
+        ),
+        (CyclotomicValue(2, (0,)), "CyclotomicValue(order=2, coefficients=(0,))"),
+        (ZeroSet(()), "ZeroSet(parts=())"),
+        (MuZeroTest(ZeroSet(()), 4, 1), "MuZeroTest(mask_zeros=ZeroSet(parts=()), n_ratio=4, den=1)"),
+        (BiZeroReport(), "BiZeroReport(violating_pair=None)"),
+        (DigitFacts(("0",)), "DigitFacts(digit_text=('0',), normalized=None, has_zeros=False, shape=None)"),
+        (
+            Verdict(Reason.OK, ("dirac",), "1/2", ("0",), None),
+            "Verdict(reason=<Reason.OK: 'OK'>, citations=('dirac',), rho_text='1/2', digit_text=('0',), "
+            "weight_text=None, normalized=None, certificate=None)",
+        ),
+        (StructureDecomposition(1, 3, 1, 1, 2, 1), "StructureDecomposition(a=1, t=3, ell=1, ell_prime=1, beta=2, m=1)"),
+    ],
+)
+def test_value_records_refuse_assignment_and_keep_their_repr(record, text):
+    assert repr(record) == text
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+_ODD_BELOW_2_20 = st.integers(0, 2**19 - 1).map(lambda n: 2 * n + 1)
+
+
+@st.composite
+def four_digit_shapes(draw):
+    """D = {0, a, 2**t * ell, a + 2**t * ell'} and N = 2**beta * m over the
+    shape space of the four-digit theorem, far beyond what a scan reaches."""
+    a, ell, ell_prime = draw(_ODD_BELOW_2_20), draw(_ODD_BELOW_2_20), draw(_ODD_BELOW_2_20)
+    t, beta, m = draw(st.integers(1, 40)), draw(st.integers(1, 12)), 2 * draw(st.integers(0, 499)) + 1
+    return (0, a, ell << t, a + (ell_prime << t)), t, beta, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(four_digit_shapes())
+def test_four_digit_theorem_over_the_shape_space(case):
+    digits, t, beta, m = case
+    v = classify(F(1, m << beta), digits)
+    assert (v.outcome is Outcome.SPECTRAL) == (t % beta != 0)
+    if v.outcome is Outcome.SPECTRAL:
+        g = math.gcd(*digits)  # odd, as a is: normalization divides it out and keeps t
+        dec = v.certificate.decomposition
+        assert dec == (digits[1] // g, t, (digits[2] >> t) // g, ((digits[3] - digits[1]) >> t) // g, beta, m)
+        assert (dec.k, dec.r) == divmod(t, beta) and v.certificate.verify()
+        keys = ("a", "t", "ell", "ell_prime", "beta", "m", "k", "r")
+        assert list(v.to_json()["certificate"]["decomposition"].items()) == list(zip(keys, (*dec, *divmod(t, beta))))
+    else:
+        assert v.reason is Reason.T_DIVISIBLE_BY_BETA
+    assert json.loads(json.dumps(v.to_json()))["outcome"] == v.outcome.value
+    assert explain(v).endswith(v.certificate.describe() if v.certificate else f"({v.reason.value})")
+
+
+@st.composite
+def shapes_at_the_certificate_bound(draw):
+    """Spectral shapes {0, a, 2**t, a + 2**t} at N = 2**beta * m with a*m**k
+    within a few multiples of m**k of 10**MAX_CERTIFICATE_DIGITS, either side."""
+    m, beta = 2 * draw(st.integers(1, 499)) + 1, draw(st.integers(2, 12))
+    k, r = draw(st.integers(1, 30)), draw(st.integers(1, beta - 1))
+    a = (10**MAX_CERTIFICATE_DIGITS // m**k + draw(st.integers(-3, 3))) | 1
+    t = beta * k + r
+    return (0, a, 1 << t, a + (1 << t)), m << beta, a * m**k + ((m << beta) << r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes_at_the_certificate_bound())
+@example(((0, 1, 8, 9), 4, 1 + (4 << 1)))
+def test_a_certificate_is_built_exactly_when_its_digits_can_print(case):
+    # The largest digit of the product form is a*m**k + N * 2**r.
+    digits, n_ratio, largest = case
+    if largest >= 10**MAX_CERTIFICATE_DIGITS:
+        with pytest.raises(Unsupported, match=f"more than {MAX_CERTIFICATE_DIGITS} decimal digits"):
+            classify(F(1, n_ratio), digits)
+        return
+    v = classify(F(1, n_ratio), digits)
+    assert max(v.certificate.reconstruct_digits()) == largest
+    assert json.loads(json.dumps(v.to_json()))["certificate"]["verified"] is True
+
+
+def test_an_unprintable_certificate_is_refused_before_m_to_the_k():
+    # m of 2,000 digits and t = 14,001: m**7000 would take minutes to build.
+    m = int("1" * 2000)
+    start = time.perf_counter()
+    with pytest.raises(Unsupported, match=str(MAX_CERTIFICATE_DIGITS)):
+        classify(F(1, 4 * m), (0, 1, 1 << 14001, (1 << 14001) + 1))
+    assert time.perf_counter() - start < 0.1

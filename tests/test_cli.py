@@ -363,7 +363,7 @@ def test_scan_reports_each_invariant_violation(capsys, monkeypatch):
         5: ((0, 1, 3, 5), Dirac()),  # three odd digits
         6: ((0, 1, 2, 5), Dirac()),  # t1 = 1, t2 = 2
     }
-    monkeypatch.setattr(cli, "_decide", lambda ratio, facts: (Reason.OK, (), fakes[ratio.reciprocal_integer()][1]))
+    monkeypatch.setattr(cli, "_decide", lambda n_ratio, facts: (Reason.OK, (), fakes[n_ratio][1]))
     lines = []
     for n, (ints, _) in fakes.items():
         # One single-N scan per fake, since the digit facts hold the integers.
@@ -634,6 +634,27 @@ def test_a_failing_certificate_is_refused_by_classify_and_reported_by_scan(capsy
     assert "violation: 0,1,8,9 N=4: Spectral without verified certificate" in err.splitlines()
 
 
+def test_an_unprintable_certificate_exits_2(capsys):
+    # t = 301 and m of 40 ones: a*m**k = m**150 has about 6,000 digits.
+    n_ratio = 4 * int("1" * 40)
+    digits = f"0,1,{1 << 301},{(1 << 301) + 1}"
+    code, out, err = run(capsys, "classify", "--rho", f"1/{n_ratio}", "--digits", digits)
+    assert (code, out) == (2, "")
+    assert err == "unsupported: the product-form certificate would hold a digit of more than 4300 decimal digits\n"
+
+
+def test_a_certificate_just_under_the_digit_bound_prints(capsys):
+    # {0, a, 8, a + 8} at N = 12: k = r = 1 and the largest digit is 3a + 24.
+    # At a = 33...3 (4,300 threes) that is 10**4300 + 23, one digit too many,
+    # though 3a = 10**4300 - 1 alone would print.
+    for a, code in (((10**4300 - 1) // 3 - 10, 0), ((10**4300 - 1) // 3, 2)):
+        got, out, err = run(capsys, "classify", "--rho", "1/12", "--digits", f"0,{a},8,{a + 8}")
+        assert got == code, err
+        if code == 0:
+            cert = json.loads(out)["certificate"]
+            assert cert["verified"] and cert["digits"][-1] == 3 * a + 24 == 10**4300 - 7
+
+
 def test_scan_rows_agree_with_a_fresh_classify():
     # Each row's outcome, reason and certificate_ok, against classify() of its
     # digit tuple at 1/N, for every gcd-1 set of 2, 3 and 4 digits up to 12.
@@ -654,12 +675,14 @@ def test_scan_zero_set_cache_stays_bounded():
     from ssmspec.cli import ScanConfig, run_scan
     from ssmspec.zeros import zero_set
 
+    # Three digits reach zero_set once per digit set; 1,101 sets overfill it.
     maxsize = zero_set.cache_info().maxsize
     assert maxsize is not None
+    zero_set.cache_clear()
     violations = []
-    rows = list(run_scan(ScanConfig(4, 30, 2, 3), violations))
+    rows = list(run_scan(ScanConfig(3, 60, 2, 3), violations))
     assert not violations and len({row["digits"] for row in rows}) > maxsize
-    assert zero_set.cache_info().currsize <= maxsize
+    assert zero_set.cache_info().currsize == maxsize
 
 
 @pytest.mark.parametrize("command", ["qdump", "gram"])

@@ -254,13 +254,12 @@ def test_product_form_degenerate_is_plain_triple():
 
 
 def test_structure_decomposition_validation():
-    with pytest.raises(InvalidInput):
-        StructureDecomposition(a=2, t=3, ell=1, ell_prime=1, beta=2, m=1)
+    with pytest.raises(InvalidInput, match="must be positive odd integers"):
+        construct_product_form(StructureDecomposition(a=2, t=3, ell=1, ell_prime=1, beta=2, m=1))
     for t, beta in ((2, 2), (3, 1), (0, 2), (3, 0)):
-        with pytest.raises(InvalidInput):
-            StructureDecomposition(a=1, t=t, ell=1, ell_prime=1, beta=beta, m=1)
+        with pytest.raises(InvalidInput, match="with beta not dividing t"):
+            construct_product_form(StructureDecomposition(a=1, t=t, ell=1, ell_prime=1, beta=beta, m=1))
     dec = dec_0189()
-    assert dec.digit_tuple() == (0, 1, 8, 9)
     assert dec.n_ratio == 4
     assert (dec.k, dec.r) == (1, 1)
     assert list(StructureDecomposition(a=1, t=7, ell=1, ell_prime=1, beta=3, m=5).to_json().items()) == [
