@@ -181,20 +181,34 @@ class DigitFacts(NamedTuple):
         return self.cardinality <= 4
 
 
-def digit_facts(digits: Union[DigitFacts, DigitSet, Iterable]) -> DigitFacts:
+def digit_facts(digits: Union[DigitFacts, NormalizedDigits, DigitSet, Iterable]) -> DigitFacts:
     """The rho-independent part of `classify`: the digit text, normalization,
     zero-set emptiness and four-digit shape.  Build it once to classify one
-    digit set at many ratios; a DigitFacts passes through unchanged."""
+    digit set at many ratios; a DigitFacts passes through unchanged.  A
+    NormalizedDigits stands for its integers, as in `exact.digit_values`, so
+    a record of scale 1 is taken as their normalization.  A digit whose text
+    would pass Python's int-to-text limit raises InvalidInput."""
     if isinstance(digits, DigitFacts):
         return digits
-    raw = digits.digits if isinstance(digits, DigitSet) else tuple(as_digit(d) for d in digits)
-    digit_text = tuple(map(str, raw))
+    norm = None
+    if isinstance(digits, NormalizedDigits):
+        scale = digits.scale
+        if not (scale.is_rational and scale.rational == 1 and digits.cardinality <= 4):
+            return digit_facts(digits.integers)
+        norm, raw = digits, digits.integers
+    else:
+        raw = digits.digits if isinstance(digits, DigitSet) else tuple(as_digit(d) for d in digits)
     try:
-        norm = normalize_digits(digits if isinstance(digits, DigitSet) else DigitSet(raw))
-    except Unsupported:
-        return DigitFacts(digit_text)
-    if isinstance(norm, IrreducibleWitness):
-        return DigitFacts(digit_text, norm)
+        digit_text = tuple(map(str, raw))
+    except ValueError as exc:  # the int-to-text limit, which names itself
+        raise InvalidInput(f"a digit is too long to print: {exc}") from None
+    if norm is None:
+        try:
+            norm = normalize_digits(digits if isinstance(digits, DigitSet) else DigitSet(raw))
+        except Unsupported:
+            return DigitFacts(digit_text)
+        if isinstance(norm, IrreducibleWitness):
+            return DigitFacts(digit_text, norm)
     if norm.cardinality == 4:  # zero_set's own rule: the mask vanishes iff the shape exists
         shape = four_digit_shape(norm.integers)
         return DigitFacts(digit_text, norm, shape is not None, shape)
@@ -203,7 +217,7 @@ def digit_facts(digits: Union[DigitFacts, DigitSet, Iterable]) -> DigitFacts:
 
 def classify(
     rho: RhoLike,
-    digits: Union[DigitFacts, DigitSet, Iterable],
+    digits: Union[DigitFacts, NormalizedDigits, DigitSet, Iterable],
     weights: Optional[Union[WeightVector, Iterable]] = None,
 ) -> Verdict:
     """Decide spectrality of the self-similar measure mu_{rho, D, p}.
@@ -277,6 +291,14 @@ def _decide(n_ratio: Optional[int], facts: DigitFacts) -> tuple[Reason, tuple[st
         return Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"), None
     dec = StructureDecomposition(a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m)
     return Reason.OK, ("card4", "product-form"), construct_product_form(dec)
+
+
+def _n_class(n_ratio: int, cardinality: int) -> int:
+    """All that `_decide` reads of N before it builds a certificate: 2**beta,
+    the power of 2 in N, for four digits, and N mod #D otherwise.  So N of one
+    class get one reason and one set of citations for any digit set of that
+    cardinality, and only a Spectral certificate reads the rest of N."""
+    return n_ratio & -n_ratio if cardinality == 4 else n_ratio % cardinality
 
 
 def explain(v: Verdict) -> str:

@@ -21,11 +21,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classify import Outcome, Reason, Verdict, _decide, classify, digit_facts, explain
+from .classify import Outcome, Reason, Verdict, _decide, _n_class, classify, digit_facts, explain
 from .exact import (
     ContractionRatio,
-    DigitSet,
+    Digit,
     InvalidInput,
+    NormalizedDigits,
     Unsupported,
     as_digit,
     four_digit_shape,
@@ -203,24 +204,35 @@ def run_scan(cfg: ScanConfig, violations: list[str]) -> Iterator[dict]:
     """Classify every (digit set, N) pair in range, yielding one row each.
 
     Each broken invariant is appended to ``violations`` as its row goes by,
-    so the list is complete only once the generator is exhausted.  A row
-    costs `classify`'s rule in N and one check of its certificate, if any.
+    so the list is complete only once the generator is exhausted.  A digit
+    set's facts come from its integers, which the enumeration has already
+    normalized.  The rule runs once per class of N (`_n_class`) whose result
+    has no certificate, and once per Spectral row, whose certificate is
+    checked once.
     """
     plain = {reason: (reason.outcome.value, reason.value, "") for reason in Reason}  # row text with no certificate
+    unit = Digit(1)
+    n_classes = [(n_ratio, _n_class(n_ratio, cfg.cardinality)) for n_ratio in range(cfg.n_min, cfg.n_max + 1)]
     for digits in enumerate_digit_sets(cfg.cardinality, cfg.digit_bound):
-        facts = digit_facts(DigitSet.of(digits))
-        label = ",".join(str(d) for d in digits)
-        for n_ratio in range(cfg.n_min, cfg.n_max + 1):
-            reason, _, certificate = _decide(n_ratio, facts)
-            outcome, reason_text, cert_ok = plain[reason]
-            if certificate is not None:
-                cert_ok = str(certificate.verify()).lower()
-            if reason is Reason.OK:
-                if cert_ok != "true":
-                    violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
-                if cfg.cardinality == 4:
-                    problems = _card4_invariants(facts.normalized.integers, n_ratio)
-                    violations.extend(f"{label} N={n_ratio}: {problem}" for problem in problems)
+        facts = digit_facts(NormalizedDigits(unit, digits))
+        label = ",".join(map(str, digits))
+        settled = {}  # row text of each class of N whose rule gave no certificate
+        for n_ratio, n_class in n_classes:
+            text = settled.get(n_class)
+            if text is None:
+                reason, _, certificate = _decide(n_ratio, facts)
+                text = plain[reason]
+                if certificate is not None:
+                    text = (*text[:2], str(certificate.verify()).lower())
+                if reason is Reason.OK:
+                    if text[2] != "true":
+                        violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
+                    if cfg.cardinality == 4:
+                        problems = _card4_invariants(facts.normalized.integers, n_ratio)
+                        violations.extend(f"{label} N={n_ratio}: {problem}" for problem in problems)
+                elif certificate is None:
+                    settled[n_class] = text
+            outcome, reason_text, cert_ok = text
             yield {"digits": label, "N": n_ratio, "outcome": outcome, "reason": reason_text, "certificate_ok": cert_ok}
 
 

@@ -10,6 +10,7 @@ unitarity cross-check lives in the numerics module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -19,7 +20,8 @@ from .zeros import _vanishes_at
 # `find_spectrum_set` fills a table of N entries; larger N is refused up front.
 MAX_SEARCH_N = 1 << 16
 
-# Most decimal digits of a product-form digit: Python's default int-to-text limit, not PYTHONINTMAXSTRDIGITS.
+# Most decimal digits of a product-form digit: Python's default int-to-text
+# limit, or the limit in force (`sys.get_int_max_str_digits`) when it is lower.
 MAX_CERTIFICATE_DIGITS = 4300
 _CERTIFICATE_CEILING = 10**MAX_CERTIFICATE_DIGITS
 
@@ -226,7 +228,8 @@ def construct_product_form(dec: StructureDecomposition) -> ProductForm:
     The blocks follow the one-stage construction: A = {0, a*m**k} with the two
     B blocks {0, 2**r * ell} and {0, 2**r * ell'}, L1 = {0, N/2} and
     L2 = {0, l} for the least l that makes both B blocks Hadamard with it.
-    A digit past MAX_CERTIFICATE_DIGITS decimal digits is refused (Unsupported) unbuilt.
+    A digit past MAX_CERTIFICATE_DIGITS decimal digits, or past a lower
+    nonzero int-to-text limit, is refused (Unsupported) unbuilt.
     """
     if min(dec.a, dec.ell, dec.ell_prime) < 1 or not all(v % 2 for v in (dec.a, dec.ell, dec.ell_prime, dec.m)):
         raise InvalidInput("a, ell, ell_prime, m must be positive odd integers")
@@ -234,9 +237,14 @@ def construct_product_form(dec: StructureDecomposition) -> ProductForm:
         raise InvalidInput("t >= 1 and beta >= 1 required, with beta not dividing t")
     # The largest digit is a*m**k + N*2**r*ell' or N*2**r*ell; as m**k >= 2**(k*(bits of m - 1)), a large k needs no m**k.
     n_ratio, k, r = dec.n_ratio, dec.k, dec.r
-    a_mk = _CERTIFICATE_CEILING if k * (dec.m.bit_length() - 1) >= _CERTIFICATE_CEILING.bit_length() else dec.a * dec.m**k
-    if max(a_mk + (n_ratio << r) * dec.ell_prime, (n_ratio << r) * dec.ell) >= _CERTIFICATE_CEILING:
-        raise Unsupported(f"the product-form certificate would hold a digit of more than {MAX_CERTIFICATE_DIGITS} decimal digits")
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < MAX_CERTIFICATE_DIGITS:  # 0 is no limit
+        ceiling = 10**limit
+    else:
+        limit, ceiling = MAX_CERTIFICATE_DIGITS, _CERTIFICATE_CEILING
+    a_mk = ceiling if k * (dec.m.bit_length() - 1) >= ceiling.bit_length() else dec.a * dec.m**k
+    if max(a_mk + (n_ratio << r) * dec.ell_prime, (n_ratio << r) * dec.ell) >= ceiling:
+        raise Unsupported(f"the product-form certificate would hold a digit of more than {limit} decimal digits")
     b_sets = ((0, (1 << r) * dec.ell), (0, (1 << r) * dec.ell_prime))
     # (N, {0, 2**r * x}, {0, l}) is Hadamard iff l = 2**(beta-r-1) * (m/gcd(m, x)) * odd,
     # so `step` (<= N/4) is the least l serving both blocks.  (N, A, L1) holds as

@@ -22,6 +22,8 @@ from ssmspec.classify import (
     Reason,
     Verdict,
     classify,
+    _decide,
+    _n_class,
     digit_facts,
     explain,
     hu_lau_infinite_bizero,
@@ -32,6 +34,7 @@ from ssmspec.exact import (
     DigitSet,
     InvalidInput,
     IrreducibleWitness,
+    NormalizedDigits,
     Unsupported,
     WeightVector,
 )
@@ -281,6 +284,67 @@ def test_digit_facts_agree_for_every_form_of_integer_digits(rest):
     assert facts.normalized.integers == tuple(sorted(d // (math.gcd(*digits) or 1) for d in digits))
     for form in (F, str, np.int64):
         assert digit_facts(tuple(map(form, digits))) == facts, form
+
+
+def test_normalized_digits_stand_for_their_integers():
+    # The scan hands digit_facts its enumerated integers as a NormalizedDigits
+    # of scale 1; any record gives the facts of its integers, whatever its scale.
+    from ssmspec.cli import enumerate_digit_sets
+
+    sets = [(0,)] + [digits for card in (2, 3, 4) for digits in enumerate_digit_sets(card, 20)]
+    for digits in sets:
+        facts = digit_facts(digits)
+        for scale in (Digit(1), Digit(F(1)), Digit(2), Digit(F(1, 3)), Digit(0, 1)):
+            assert digit_facts(NormalizedDigits(scale, digits)) == facts, (scale, digits)
+    assert digit_facts(NormalizedDigits(Digit(1), (0, 1, 8, 9))).normalized.to_json() == {"scale": "1", "integers": [0, 1, 8, 9]}
+    assert digit_facts(NormalizedDigits(Digit(2), (0, 1, 8, 9))).normalized.to_json() == {"scale": "1", "integers": [0, 1, 8, 9]}
+    five = NormalizedDigits(Digit(1), (0, 1, 2, 3, 4))
+    assert digit_facts(five) == digit_facts((0, 1, 2, 3, 4)) and not digit_facts(five).supported
+    for bad in ((0, 2, 4), (1, 2), (0, 3, 1)):
+        with pytest.raises(InvalidInput):
+            NormalizedDigits(Digit(1), bad)
+
+
+def test_decide_reads_only_the_class_of_n():
+    # Below a certificate, the rule reads N only through _n_class: 2**beta for
+    # four digits and N mod #D otherwise.  A certificate comes back exactly
+    # when the reason is OK.
+    from ssmspec.cli import enumerate_digit_sets
+
+    for card in (2, 3, 4):
+        for digits in enumerate_digit_sets(card, 12):
+            facts = digit_facts(digits)
+            seen = {}
+            for n in range(2, 257):
+                reason, citations, certificate = _decide(n, facts)
+                assert (certificate is not None) == (reason is Reason.OK), (digits, n)
+                assert seen.setdefault(_n_class(n, card), (reason, citations)) == (reason, citations), (digits, n)
+
+
+@pytest.mark.parametrize("digit", [10**5000, F(1, 10**5000)], ids=["int", "fraction"])
+def test_a_digit_past_the_int_to_text_limit_is_invalid_input(digit):
+    with pytest.raises(InvalidInput, match="4300 digits"):
+        classify(F(1, 4), (0, 1, digit))
+
+
+def test_certificate_bound_follows_a_lower_int_to_text_limit():
+    # m**2 has 1,198 digits: printable by default, refused under a limit of 640.
+    import sys
+
+    m = int("1" * 599)
+    digits = (0, 1, 32, 33)  # t = 5 = 2*beta + 1 at N = 4m, so k = 2
+    assert max(classify(F(1, 4 * m), digits).certificate.reconstruct_digits()) > 10**640
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(Unsupported, match="more than 640 decimal digits"):
+            classify(F(1, 4 * m), digits)
+        assert classify(F(1, 4), digits).certificate.verify()
+        sys.set_int_max_str_digits(0)  # no limit: the fixed bound holds
+        with pytest.raises(Unsupported, match=f"more than {MAX_CERTIFICATE_DIGITS} decimal digits"):
+            classify(F(1, 4 * int("1" * 2200)), digits)
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_digit_facts_keep_refusals():

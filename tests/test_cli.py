@@ -571,21 +571,65 @@ def test_tolerance_env_override(capsys, monkeypatch):
 
 
 def test_scan_normalizes_each_digit_set_once(monkeypatch):
+    # The enumeration yields normalized integers, so no digit set goes through
+    # normalize_digits; the rule runs once per Spectral row and once per
+    # digit set and class of N with another outcome.
     import ssmspec.classify as classify_module
+    import ssmspec.cli as cli
     from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
 
-    calls = []
-    original = classify_module.normalize_digits
+    calls, decided = [], []
+    original, decide = classify_module.normalize_digits, cli._decide
 
     def counting(dset):
         calls.append(dset)
         return original(dset)
 
+    def counting_decide(n_ratio, facts):
+        decided.append(n_ratio)
+        return decide(n_ratio, facts)
+
     monkeypatch.setattr(classify_module, "normalize_digits", counting)
+    monkeypatch.setattr(cli, "_decide", counting_decide)
     violations = []
     rows = list(run_scan(ScanConfig(4, 15, 2, 24), violations))
-    assert not violations and len(rows) == 409 * 23
-    assert len(calls) == len(enumerate_digit_sets(4, 15)) == 409
+    assert not violations and len(rows) == len(enumerate_digit_sets(4, 15)) * 23 == 409 * 23
+    assert calls == []
+    spectral = sum(row["outcome"] == "Spectral" for row in rows)
+    classes = {(row["digits"], row["N"] & -row["N"]) for row in rows if row["outcome"] != "Spectral"}
+    assert spectral > 0 and len(decided) == spectral + len(classes) < len(rows)
+
+
+def test_scan_decides_three_digit_sets_once_per_residue_of_n(monkeypatch):
+    import ssmspec.cli as cli
+    from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
+
+    decided = []
+    decide = cli._decide
+    monkeypatch.setattr(cli, "_decide", lambda n_ratio, facts: decided.append(n_ratio) or decide(n_ratio, facts))
+    rows = list(run_scan(ScanConfig(3, 12, 2, 40), []))
+    assert len(rows) == len(enumerate_digit_sets(3, 12)) * 39
+    spectral = sum(row["outcome"] == "Spectral" for row in rows)
+    classes = {(row["digits"], row["N"] % 3) for row in rows if row["outcome"] != "Spectral"}
+    assert len(decided) == spectral + len(classes)
+    assert all(row["certificate_ok"] == "true" and row["N"] % 3 == 0 for row in rows if row["outcome"] == "Spectral")
+
+
+def test_classify_refuses_a_certificate_past_a_lower_int_to_text_limit():
+    # m of 599 ones fits the limit of 640 digits; the certificate digit m**2 does not.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ssmspec
+
+    n_ratio = 4 * int("1" * 599)
+    argv = ["classify", "--rho", f"1/{n_ratio}", "--digits", "0,1,32,33"]
+    code = f"import sys; from ssmspec.cli import main; sys.exit(main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ssmspec.__file__).parents[1]), "PYTHONINTMAXSTRDIGITS": "640"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "unsupported: the product-form certificate would hold a digit of more than 640 decimal digits\n"
 
 
 def test_scan_verifies_each_certificate_once(monkeypatch):
