@@ -19,18 +19,17 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .exact import (
     ContractionRatio,
-    DigitSet,
     FourDigitShape,
     InternalInconsistency,
     InvalidInput,
     IrreducibleWitness,
     NormalizedDigits,
     Unsupported,
-    WeightVector,
     as_digit,
     four_digit_shape,
     normalize_digits,
     val2,
+    weight_values,
 )
 from .hadamard import (
     HadamardTriple,
@@ -181,7 +180,15 @@ class DigitFacts(NamedTuple):
         return self.cardinality <= 4
 
 
-def digit_facts(digits: Union[DigitFacts, NormalizedDigits, DigitSet, Iterable]) -> DigitFacts:
+def _texts(values: Iterable, what: str) -> tuple[str, ...]:
+    """The text of each value; one past Python's int-to-text limit raises InvalidInput."""
+    try:
+        return tuple(map(str, values))
+    except ValueError as exc:  # the limit's message names it
+        raise InvalidInput(f"{what} is too long to print: {exc}") from None
+
+
+def digit_facts(digits: Union[DigitFacts, NormalizedDigits, Iterable]) -> DigitFacts:
     """The rho-independent part of `classify`: the digit text, normalization,
     zero-set emptiness and four-digit shape.  Build it once to classify one
     digit set at many ratios; a DigitFacts passes through unchanged.  A
@@ -197,14 +204,11 @@ def digit_facts(digits: Union[DigitFacts, NormalizedDigits, DigitSet, Iterable])
             return digit_facts(digits.integers)
         norm, raw = digits, digits.integers
     else:
-        raw = digits.digits if isinstance(digits, DigitSet) else tuple(as_digit(d) for d in digits)
-    try:
-        digit_text = tuple(map(str, raw))
-    except ValueError as exc:  # the int-to-text limit, which names itself
-        raise InvalidInput(f"a digit is too long to print: {exc}") from None
+        raw = tuple(map(as_digit, digits))
+    digit_text = _texts(raw, "a digit")
     if norm is None:
         try:
-            norm = normalize_digits(digits if isinstance(digits, DigitSet) else DigitSet(raw))
+            norm = normalize_digits(raw)
         except Unsupported:
             return DigitFacts(digit_text)
         if isinstance(norm, IrreducibleWitness):
@@ -217,8 +221,8 @@ def digit_facts(digits: Union[DigitFacts, NormalizedDigits, DigitSet, Iterable])
 
 def classify(
     rho: RhoLike,
-    digits: Union[DigitFacts, NormalizedDigits, DigitSet, Iterable],
-    weights: Optional[Union[WeightVector, Iterable]] = None,
+    digits: Union[DigitFacts, NormalizedDigits, Iterable],
+    weights: Optional[Iterable] = None,
 ) -> Verdict:
     """Decide spectrality of the self-similar measure mu_{rho, D, p}.
 
@@ -227,25 +231,26 @@ def classify(
     be nonempty; (4) rho must be 1/N for an integer N >= 2; then the
     cardinality-specific criterion decides; a Spectral verdict's certificate
     is verified exactly here.  The digit steps come from `digit_facts`, so
-    passing a DigitFacts skips them.
+    passing a DigitFacts skips them.  Overlong ratio or weight text raises InvalidInput.
     """
     ratio = _as_ratio(rho)
     facts = digit_facts(digits)
     # No weights means uniform weights, which need no vector and no check.
     weight_text, uniform = None, True
     if weights is not None:
-        wvec = weights if isinstance(weights, WeightVector) else WeightVector.of(weights)
-        if len(wvec.weights) != facts.cardinality:
+        w = weight_values(weights)
+        if len(w) != facts.cardinality:
             raise InvalidInput("weight count must match digit count")
-        weight_text, uniform = wvec.display(), wvec.is_uniform
+        weight_text, uniform = _texts(w, "a weight"), len(set(w)) == 1
+    (rho_text,) = _texts((ratio,), "the ratio")
     if uniform or not facts.supported:
         reason, citations, certificate = _decide(ratio.reciprocal_integer(), facts)
         if certificate is not None and not certificate.verify():
-            raise InternalInconsistency(f"certificate failed verification at rho = {ratio}: {certificate.describe()}")
+            raise InternalInconsistency(f"certificate failed verification at rho = {rho_text}: {certificate.describe()}")
         normalized = facts.normalized
     else:
         reason, citations, certificate, normalized = Reason.UNEQUAL_WEIGHTS, ("equal-weights",), None, None
-    return Verdict(reason, citations, str(ratio), facts.digit_text, weight_text, normalized, certificate)
+    return Verdict(reason, citations, rho_text, facts.digit_text, weight_text, normalized, certificate)
 
 
 def _decide(n_ratio: Optional[int], facts: DigitFacts) -> tuple[Reason, tuple[str, ...], Optional[Certificate]]:

@@ -35,11 +35,13 @@ RationalLike = Union[Fraction, int, str]
 
 
 def _fraction(text: str) -> Fraction:
-    """The Fraction of well-formed ``"p/q"`` or ``"p"`` text; q = 0 is refused."""
+    """The Fraction of well-formed ``"p/q"`` or ``"p"`` text; q = 0 and overlong text are refused."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise InvalidInput(f"zero denominator: {text!r}") from None
+    except ValueError as exc:  # the int-from-text limit, which names itself
+        raise InvalidInput(str(exc)) from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -195,39 +197,6 @@ def integer_digits(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tupl
 
 
 @dataclass(frozen=True)
-class DigitSet:
-    """A digit set {0, d1, ..., d_{m-1}}, 1 <= m <= 4, strictly increasing.
-
-    Five or more digits are rejected with :class:`Unsupported`: their masks
-    have vanishing sums beyond the pairing rule (the mask of {0, 1, 2, 3, 4}
-    vanishes at 1/5), which the exact layer does not model.
-    """
-
-    digits: tuple[Digit, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.digits) == 0:
-            raise InvalidInput("digit set is empty")
-        if len(set(self.digits)) != len(self.digits):
-            raise InvalidInput("duplicate digits")
-        ordered = tuple(sorted(self.digits, key=Digit.sort_key))
-        if ordered != self.digits:
-            object.__setattr__(self, "digits", ordered)
-        if not self.digits[0].is_zero:
-            raise InvalidInput("0 must be a digit (translate the set first)")
-        if len(self.digits) > 4:
-            raise Unsupported(f"{len(self.digits)} digits: only 1..4 supported")
-
-    @classmethod
-    def of(cls, values: Iterable[DigitLike]) -> "DigitSet":
-        return cls(tuple(as_digit(v) for v in values))
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.digits)
-
-
-@dataclass(frozen=True)
 class NormalizedDigits:
     """Canonical integer form of a digit set: digits = scale * integers.
 
@@ -285,15 +254,29 @@ def _normalize_rationals(values: Sequence[Union[int, Fraction]]) -> tuple[Fracti
     return alpha, tuple(n // g for n in ints)
 
 
-def normalize_digits(d: DigitSet) -> Union[NormalizedDigits, IrreducibleWitness]:
-    """Reduce a digit set to its canonical integer form, or witness failure.
+def normalize_digits(values: Iterable[DigitLike]) -> Union[NormalizedDigits, IrreducibleWitness]:
+    """Check digits (see `as_digit`, any order) and reduce them to their
+    canonical integer form, or witness failure.
 
-    All-rational digits always normalize.  Digits carrying the symbolic
-    irrational normalize exactly when every pairwise ratio of nonzero digits
-    is rational (cross-ratio test p*q' == p'*q); otherwise the offending pair
-    is returned as an :class:`IrreducibleWitness`.
+    The one digit-set check: an empty set, a repeated digit and a set without
+    0 raise InvalidInput, then five or more digits raise Unsupported (the mask
+    of {0, 1, 2, 3, 4} vanishes at 1/5, beyond the pairing rule).  Rational
+    digits always normalize; digits carrying the symbolic irrational do
+    exactly when every pairwise ratio of nonzero digits is rational
+    (cross-ratio test p*q' == p'*q), else the offending pair is returned as
+    an :class:`IrreducibleWitness`.
     """
-    nonzero = d.digits[1:]
+    digits = tuple(map(as_digit, values))
+    if not digits:
+        raise InvalidInput("digit set is empty")
+    if len(set(digits)) != len(digits):
+        raise InvalidInput("duplicate digits")
+    digits = sorted(digits, key=Digit.sort_key)
+    if not digits[0].is_zero:
+        raise InvalidInput("0 must be a digit (translate the set first)")
+    if len(digits) > 4:
+        raise Unsupported(f"{len(digits)} digits: only 1..4 supported")
+    nonzero = digits[1:]
     if not nonzero:
         return NormalizedDigits(Digit(Fraction(1)), (0,))
 
@@ -419,27 +402,14 @@ class ContractionRatio:
         return f"({self.base})^(1/{self.root_degree})"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """A probability vector: positive rational weights summing to 1."""
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            raise InvalidInput("empty weight vector")
-        if any(w <= 0 for w in self.weights):
-            raise InvalidInput("weights must be positive")
-        if sum(self.weights) != 1:
-            raise InvalidInput("weights must sum to 1")
-
-    @classmethod
-    def of(cls, values: Iterable[RationalLike]) -> "WeightVector":
-        return cls(tuple(as_fraction(v) for v in values))
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.weights)) == 1
-
-    def display(self) -> tuple[str, ...]:
-        return tuple(str(w) for w in self.weights)
+def weight_values(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """Weights as a probability vector: exact rationals (see `as_fraction`),
+    positive and summing to 1, refused in that order with InvalidInput."""
+    weights = tuple(map(as_fraction, values))
+    if not weights:
+        raise InvalidInput("empty weight vector")
+    if any(w <= 0 for w in weights):
+        raise InvalidInput("weights must be positive")
+    if sum(weights) != 1:
+        raise InvalidInput("weights must sum to 1")
+    return weights

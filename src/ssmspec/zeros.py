@@ -25,10 +25,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .exact import (
-    DigitSet,
     InternalInconsistency,
     InvalidInput,
-    IrreducibleWitness,
     NormalizedDigits,
     Unsupported,
     as_n_ratio,
@@ -288,23 +286,18 @@ def zero_set(digits: NormalizedDigits) -> ZeroSet:
     return ZeroSet.of(parts)
 
 
-DigitsLike = Union[NormalizedDigits, DigitSet, Iterable]
+DigitsLike = Union[NormalizedDigits, Iterable]
 
 
 def mask_zero_set(digits: DigitsLike) -> ZeroSet:
     """Zero set of the mask of the digits exactly as given.
 
-    The digits are normalized internally; the canonical zero set is rescaled
-    by 1/scale, so e.g. {0, 2} yields (1/4)*odd rather than (1/2)*odd.
+    The digits are read by `digit_values`, which refuses t, so their scale is
+    rational; the canonical zero set is rescaled by 1/scale: {0, 2} yields (1/4)*odd.
     """
     if isinstance(digits, NormalizedDigits):
         return zero_set(digits)
-    ds = digits if isinstance(digits, DigitSet) else DigitSet.of(digit_values(digits))
-    norm = normalize_digits(ds)
-    if isinstance(norm, IrreducibleWitness):
-        raise InvalidInput(f"digits have an irrational ratio: {norm.to_json()}")
-    if not norm.scale.is_rational:
-        raise InvalidInput("digit scale is irrational; pass the normalized integer digits")
+    norm = normalize_digits(digit_values(digits))
     return zero_set(norm).scaled(1 / norm.scale.rational)
 
 

@@ -17,7 +17,7 @@ from zero_oracles import mask_zero_batch, zero_set_member_batch
 
 from ssmspec.classify import Outcome, Reason, classify, hu_lau_infinite_bizero
 from ssmspec.cli import ScanConfig, run_scan
-from ssmspec.exact import ContractionRatio, DigitSet, normalize_digits
+from ssmspec.exact import ContractionRatio, normalize_digits
 from ssmspec.hadamard import (
     HadamardTriple,
     direct_sum,
@@ -145,7 +145,7 @@ def test_criterion_4_zero_set_oracle_equivalence():
         checked = 0
         for corpus in corpora:
             for digits in corpus:
-                nd = normalize_digits(DigitSet.of(digits))
+                nd = normalize_digits(digits)
                 zs = zero_set(nd)
                 for q in range(1, 201):
                     ps = np.arange(1, 4 * q + 1)

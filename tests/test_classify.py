@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 import random
+import re
 import time
 import types
 from fractions import Fraction as F
@@ -31,12 +32,11 @@ from ssmspec.classify import (
 from ssmspec.exact import (
     ContractionRatio,
     Digit,
-    DigitSet,
     InvalidInput,
     IrreducibleWitness,
     NormalizedDigits,
     Unsupported,
-    WeightVector,
+    as_digit,
 )
 from ssmspec.hadamard import MAX_CERTIFICATE_DIGITS, StructureDecomposition, verify_product_form
 from ssmspec.spectra import BiZeroReport
@@ -136,7 +136,7 @@ def test_invalid_weights():
     with pytest.raises(InvalidInput):
         classify(F(1, 4), (0, 2), ("1/2", "1/4", "1/4"))
     with pytest.raises(InvalidInput):
-        classify(F(1, 4), (0, 2), WeightVector.of(("1/3", "1/3", "1/3")))
+        classify(F(1, 4), (0, 2), ("1/3", "1/3", "1/3"))
 
 
 @pytest.mark.parametrize(
@@ -252,7 +252,7 @@ def test_four_digit_facts_agree_with_the_zero_set():
         (F(1, 4), (0,), None),
         (F(1, 4), (0, 1, 8, 9), ("1/10", "2/10", "3/10", "4/10")),
         (F(1, 4), (0, 1, 8, 9), ("1/4", "1/4", "1/4", "1/4")),
-        (F(1, 6), (0, 1, 2), WeightVector.of(("1/3", "1/3", "1/3"))),
+        (F(1, 6), (0, 1, 2), ("1/3", "1/3", "1/3")),
         (F(1, 4), (0, 2), ("1/3", "2/3")),
     ],
 )
@@ -268,7 +268,7 @@ def test_digit_facts_record():
     assert facts.normalized.integers == (0, 1, 8, 9)
     assert (facts.shape.t1, facts.shape.t2) == (3, 3)
     assert digit_facts(facts) is facts
-    assert digit_facts(DigitSet.of((0, 1, 8, 9))) == facts
+    assert digit_facts(iter([0, 1, 8, 9])) == digit_facts(tuple(map(as_digit, (0, 1, 8, 9)))) == facts
     assert digit_facts((0, 1, 2, 4)).shape is None and not digit_facts((0, 1, 2, 4)).has_zeros
     five = digit_facts((0, 1, 2, 3, 4))
     assert not five.supported and five.normalized is None and five.cardinality == 5
@@ -325,6 +325,42 @@ def test_decide_reads_only_the_class_of_n():
 def test_a_digit_past_the_int_to_text_limit_is_invalid_input(digit):
     with pytest.raises(InvalidInput, match="4300 digits"):
         classify(F(1, 4), (0, 1, digit))
+
+
+_OVERLONG = "1/" + "1" * 5000  # its denominator passes Python's int-from-text limit
+_TINY = F(1, 10**5000)
+
+
+@pytest.mark.parametrize(
+    "rho,weights",
+    [(F(2, 10**5000 + 1), None), (_OVERLONG, None), (F(1, 4), ("1/2", _OVERLONG)), (F(1, 4), (F(1, 2) - _TINY, F(1, 2) + _TINY))],
+    ids=["ratio", "ratio-text", "weight-text", "weights"],
+)
+def test_a_ratio_or_weight_past_the_int_to_text_limit_is_invalid_input(rho, weights):
+    with pytest.raises(InvalidInput, match=r"Exceeds the limit \(4300 digits\)"):
+        classify(rho, (0, 1), weights)
+
+
+@pytest.mark.parametrize(
+    "digits,weights,message",
+    [
+        ((0, 1), (), "empty weight vector"),
+        ((0, 1), (1, 0), "weights must be positive"),
+        ((0, 1), (F(3, 2), F(-1, 2)), "weights must be positive"),
+        ((0, 1), ("1/2", "1/3"), "weights must sum to 1"),
+        ((0, 1), ("x", "1"), "malformed rational: 'x'"),
+        ((0, 1), (0.5, 0.5), "not a rational value: 0.5"),
+        ((0, 1), ("1/0", "1"), "zero denominator: '1/0'"),
+        # Malformed weights are refused before their count is compared.
+        ((0, 1), (1, 0, 0), "weights must be positive"),
+        ((0, 1), ("1/2", "1/3", "1/7"), "weights must sum to 1"),
+        ((0, 1), ("1/3", "1/3", "1/3"), "weight count must match digit count"),
+        ((0, 1, 2, 3, 4), ("1/2", "1/2"), "weight count must match digit count"),
+    ],
+)
+def test_weights_are_refused_in_order(digits, weights, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        classify(F(1, 4), digits, weights)
 
 
 def test_certificate_bound_follows_a_lower_int_to_text_limit():
@@ -431,7 +467,7 @@ def test_a_patch_by_dotted_path_reaches_the_classify_module(monkeypatch):
 
     monkeypatch.setattr("ssmspec.classify.normalize_digits", counting)
     assert classify(F(1, 4), (0, 1, 8, 9)).outcome is Outcome.SPECTRAL
-    assert calls == [DigitSet.of((0, 1, 8, 9))]
+    assert calls == [tuple(map(as_digit, (0, 1, 8, 9)))]
 
 
 def test_the_package_binds_only_its_layers_and_version():
@@ -462,9 +498,7 @@ def test_only_records_that_check_their_fields_are_dataclasses():
         "cli.ScanConfig",
         "exact.ContractionRatio",
         "exact.Digit",
-        "exact.DigitSet",
         "exact.NormalizedDigits",
-        "exact.WeightVector",
         "hadamard.HadamardTriple",
         "hadamard.ProductForm",
         "numerics.MuHatEvaluator",

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from ssmspec.classify import Reason, classify
 from ssmspec.cli import MAX_SCAN_ROWS, build_parser, main
-from ssmspec.zeros import mask_value
+from ssmspec.exact import InvalidInput, Unsupported, normalize_digits
+from ssmspec.zeros import mask_value, mask_zero_set
 
 
 def run(capsys, *argv):
@@ -84,6 +87,8 @@ def test_usage_error_exits_64(capsys):
         (["classify", "--rho", "1/4", "--digits", "0,x"], "malformed digit"),
         (["classify", "--rho", "1/4", "--digits", "0,2", "--weights", "1/2,y"], "malformed rational"),
         (["qdump", "--rho", "1/4", "--digits", "0,2", "--grid", "2"], "grid step must lie in (0, 1]"),
+        (["classify", "--rho", "1/" + "1" * 5000, "--digits", "0,1"], "Exceeds the limit (4300 digits)"),
+        (["classify", "--rho", "1/4", "--digits", "0,1", "--weights", "1/2,1/" + "1" * 5000], "Exceeds the limit (4300 digits)"),
     ],
 )
 def test_argument_parse_errors_exit_64(capsys, argv, message):
@@ -91,6 +96,68 @@ def test_argument_parse_errors_exit_64(capsys, argv, message):
         main(argv)
     assert exc.value.code == 64
     assert message in capsys.readouterr().err
+
+
+_DUPLICATE = (InvalidInput, "duplicate digits")
+_NO_ZERO = (InvalidInput, "0 must be a digit (translate the set first)")
+_FIVE = (Unsupported, "5 digits: only 1..4 supported")
+_NEGATIVE = (InvalidInput, "digit components must be non-negative: -1")
+
+# Each digit-set refusal as every route gives it: (digits, CLI text, normalize_digits
+# and classify, mask_zero_set, `ssmspec classify`, `ssmspec zeros`).  A library route
+# expects (exception, message), a CLI route (exit code, last stderr line).  The
+# CLI cannot pass an empty set, and mask_zero_set reads its digits as values first.
+DIGIT_SET_REFUSALS = {
+    "empty": (
+        (), "", (InvalidInput, "digit set is empty"), (InvalidInput, "digit set is empty"),
+        (64, "ssmspec classify: error: argument --digits: malformed digit: ''"),
+        (64, "ssmspec zeros: error: argument digits: malformed digit: ''"),
+    ),
+    "repeated": (
+        (0, 1, Fraction(1)), "0,1,2/2", _DUPLICATE, (InvalidInput, "repeated values in {0, 1, 1}"),
+        (2, "invalid input: duplicate digits"), (2, "invalid input: repeated values in {0, 1, 1}"),
+    ),
+    "no-zero": (
+        (1, 2), "1,2", _NO_ZERO, _NO_ZERO,
+        (2, "invalid input: 0 must be a digit (translate the set first)"),
+        (2, "invalid input: 0 must be a digit (translate the set first)"),
+    ),
+    "repeated-before-too-large": (
+        (0, 1, 1, 2, 3), "0,1,1,2,3", _DUPLICATE, (InvalidInput, "repeated values in {0, 1, 1, 2, 3}"),
+        (2, "invalid input: duplicate digits"), (2, "invalid input: repeated values in {0, 1, 1, 2, 3}"),
+    ),
+    # classify answers five digits with an Unsupported verdict on stdout.
+    "five": ((0, 1, 2, 3, 4), "0,1,2,3,4", _FIVE, _FIVE, (2, ""), (2, "unsupported: 5 digits: only 1..4 supported")),
+    "negative": (
+        (0, -1), "0,-1", _NEGATIVE, _NEGATIVE,
+        (64, "ssmspec classify: error: argument --digits: digit components must be non-negative: -1"),
+        (64, "ssmspec zeros: error: argument digits: digit components must be non-negative: -1"),
+    ),
+}
+
+
+def _exit_and_last_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    return code, err.splitlines()[-1] if err else ""
+
+
+@pytest.mark.parametrize("case", DIGIT_SET_REFUSALS)
+def test_a_digit_set_is_refused_alike_by_every_route(capsys, case):
+    digits, text, checked, as_values, classify_cli, zeros_cli = DIGIT_SET_REFUSALS[case]
+    calls = [(normalize_digits, checked), (mask_zero_set, as_values)]
+    if checked is _FIVE:
+        assert classify(Fraction(1, 4), digits).reason is Reason.UNSUPPORTED
+    else:
+        calls.append((lambda d: classify(Fraction(1, 4), d), checked))
+    for call, (exc, message) in calls:
+        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+            call(digits)
+    assert _exit_and_last_line(capsys, ["classify", "--rho", "1/4", "--digits", text]) == classify_cli
+    assert _exit_and_last_line(capsys, ["zeros", text]) == zeros_cli
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ssmspec.classify import Outcome, classify
 from ssmspec.cli import enumerate_digit_sets
-from ssmspec.exact import DigitSet, InternalInconsistency, InvalidInput, Unsupported, four_digit_shape, parse_digit
+from ssmspec.exact import InternalInconsistency, InvalidInput, Unsupported, as_digit, four_digit_shape, parse_digit
 from ssmspec.hadamard import (
     MAX_SEARCH_N,
     HadamardTriple,
@@ -66,7 +66,7 @@ def test_non_integer_or_empty_sets_are_refused(call):
 
 
 def test_digit_objects_answer_like_ints():
-    digits = DigitSet.of([0, 1]).digits
+    digits = tuple(map(as_digit, [0, 1]))
     for n, l in ((4, (0, 2)), (4, (0, 1)), (2, (0, 1))):
         assert is_hadamard_triple(n, digits, l) == is_hadamard_triple(n, (0, 1), l)
     assert find_spectrum_set(4, digits) == find_spectrum_set(4, (0, 1)) == (0, 2)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmspec.cli import main
-from ssmspec.exact import InvalidInput
+from ssmspec.exact import InvalidInput, as_digit
 from ssmspec.hadamard import HadamardTriple, find_spectrum_set
 from ssmspec.spectra import (
     MAX_GREEDY_BOUND,
@@ -254,11 +254,27 @@ def test_bizero_refuses_bad_inputs_before_the_scan():
             is_bizero_set([0], (0, 2), n_ratio)
         with pytest.raises(InvalidInput, match="N must be >= 2"):
             greedy_bizero((0, 2), n_ratio, 10, 4)
-    for digits in (("0", "t"), ("0", "1", "t")):  # irrational scale, irrational ratio
-        with pytest.raises(InvalidInput):
-            is_bizero_set([0], digits, 4)
-        with pytest.raises(InvalidInput):
-            greedy_bizero(digits, 4, 10, 4)
+    for text in ("0,t", "0,1,t"):  # irrational scale, irrational ratio
+        # As text, t is no rational; as a parsed Digit it is refused by name.
+        for digits, message in ((tuple(text.split(",")), "malformed rational: 't'"), (_parsed(text), "only classify accepts")):
+            with pytest.raises(InvalidInput, match=message):
+                is_bizero_set([0], digits, 4)
+            with pytest.raises(InvalidInput, match=message):
+                greedy_bizero(digits, 4, 10, 4)
+
+
+def _parsed(text):
+    return tuple(map(as_digit, text.split(",")))
+
+
+@pytest.mark.parametrize("text", ["0,t", "0,1,t"])
+def test_a_digit_with_t_is_refused_before_normalization(capsys, text):
+    # digit_values refuses t, so no irrational scale or ratio reaches normalize_digits.
+    with pytest.raises(InvalidInput, match="only classify accepts"):
+        mask_zero_set(_parsed(text))
+    assert main(["zeros", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "invalid input: digit 1*t carries the symbolic t, which only classify accepts\n")
 
 
 def test_greedy_caps():

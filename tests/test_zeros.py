@@ -19,7 +19,7 @@ from test_acceptance import _random_gcd1_sets
 from zero_oracles import mask_zero_batch, zero_set_member_batch
 
 import ssmspec
-from ssmspec.exact import DigitSet, InvalidInput, Unsupported, four_digit_shape, normalize_digits
+from ssmspec.exact import InvalidInput, Unsupported, as_digit, four_digit_shape, normalize_digits
 from ssmspec.zeros import (
     ScaledResidues,
     ZeroSet,
@@ -33,10 +33,6 @@ from ssmspec.zeros import (
     odd_multiples,
     zero_set,
 )
-
-
-def norm(values):
-    return normalize_digits(DigitSet.of(values))
 
 
 # ----------------------------------------------------------- cyclotomics
@@ -89,11 +85,11 @@ def test_power_table_cache_stays_bounded():
 
 
 def test_mask_eval_examples():
-    assert mask_value(norm([0, 1, 2, 3]), F(1, 4)).is_zero
+    assert mask_value(normalize_digits([0, 1, 2, 3]), F(1, 4)).is_zero
     assert mask_value((0, 2), F(1, 4)).is_zero
-    v = mask_value(norm([0, 1, 2, 3]), F(0))
+    v = mask_value(normalize_digits([0, 1, 2, 3]), F(0))
     assert not v.is_zero and v.coefficients == (4,)
-    assert not mask_value(norm([0, 1, 2, 3]), F(1, 3)).is_zero
+    assert not mask_value(normalize_digits([0, 1, 2, 3]), F(1, 3)).is_zero
 
 
 def test_mask_value_on_unreduced_is_exact():
@@ -196,7 +192,7 @@ def large_numerator_cases(draw):
 def test_scalar_routes_agree_at_large_numerators(case):
     digits, xi = case
     vanishes = mask_vanishes(digits, xi)
-    assert zero_set(norm(digits)).member(xi) == vanishes
+    assert zero_set(normalize_digits(digits)).member(xi) == vanishes
     assert mask_value(digits, xi).is_zero == vanishes
 
 
@@ -207,7 +203,7 @@ def test_three_routes_agree_on_criterion_4_grid():
     corpora = [_random_gcd1_sets(rng, 50, 4, 30), _random_gcd1_sets(rng, 20, 3, 30), [(0, 1)]]
     for corpus in corpora:
         for digits in corpus:
-            nd = norm(digits)
+            nd = normalize_digits(digits)
             zs = zero_set(nd)
             for q in range(1, 201):
                 ps = np.arange(1, q + 1)
@@ -223,15 +219,15 @@ def test_mask_value_rejects_non_integer_digits():
 
 
 def test_digit_objects_answer_like_ints():
-    digits = DigitSet.of([0, 1, 8, 9]).digits
+    digits = tuple(map(as_digit, [0, 1, 8, 9]))
     for xi in (F(1, 2), F(1, 16), F(1, 3), F(3, 32)):
         assert mask_vanishes(digits, xi) == mask_vanishes((0, 1, 8, 9), xi)
         assert mask_value(digits, xi) == mask_value((0, 1, 8, 9), xi)
-    assert mask_vanishes(DigitSet.of([0, 1]).digits, F(1, 2))
+    assert mask_vanishes(tuple(map(as_digit, [0, 1])), F(1, 2))
 
 
 def test_symbolic_digits_are_refused():
-    t = DigitSet.of([0, "t"]).digits
+    t = tuple(map(as_digit, [0, "t"]))
     for call in (
         lambda: mask_vanishes(t, F(1, 2)),
         lambda: mask_value(t, F(1, 2)),
@@ -247,7 +243,7 @@ def test_symbolic_digits_are_refused():
 
 
 def parts_of(values):
-    return tuple((p.scale, p.modulus, tuple(sorted(p.residues))) for p in zero_set(norm(values)).parts)
+    return tuple((p.scale, p.modulus, tuple(sorted(p.residues))) for p in zero_set(normalize_digits(values)).parts)
 
 
 def test_zero_set_card4_examples():
@@ -265,7 +261,7 @@ def test_zero_set_small_cards():
     assert parts_of([0, 1]) == ((F(1, 2), 2, (1,)),)
     assert parts_of([0, 1, 2]) == ((F(1, 3), 3, (1, 2)),)
     assert parts_of([0, 1, 4]) == ()
-    assert zero_set(norm([0])).is_empty
+    assert zero_set(normalize_digits([0])).is_empty
 
 
 def test_zero_set_part_counts_match_valuations():
@@ -274,7 +270,7 @@ def test_zero_set_part_counts_match_valuations():
         rest = sorted(rng.sample(range(1, 40), 3))
         if math.gcd(*rest) != 1:
             continue
-        nd = norm([0, *rest])
+        nd = normalize_digits([0, *rest])
         odds = [d for d in rest if d % 2]
         raw_parts = []
         if len(odds) == 2:
@@ -294,7 +290,7 @@ def test_four_digit_shape_matches_zero_sets():
         if math.gcd(*rest) != 1:
             continue
         shape = four_digit_shape((0, *rest))
-        assert (shape is not None) == (not zero_set(norm([0, *rest])).is_empty), rest
+        assert (shape is not None) == (not zero_set(normalize_digits([0, *rest])).is_empty), rest
         if shape is not None:
             a, _, _, t1, ell1, t2, ell2 = shape
             assert ell1 % 2 == 1 and ell2 % 2 == 1
@@ -380,7 +376,7 @@ def test_oracle_equivalence_small():
         if math.gcd(*rest) != 1:
             continue
         picked += 1
-        nd = norm([0, *rest])
+        nd = normalize_digits([0, *rest])
         zs = zero_set(nd)
         for q in range(1, 41):
             ps = np.arange(1, 4 * q + 1)
@@ -390,7 +386,7 @@ def test_oracle_equivalence_small():
 
 
 def test_batch_routes_refuse_int64_overflow():
-    nd = norm([0, 1, 2])
+    nd = normalize_digits([0, 1, 2])
     zs = zero_set(nd)
     for p in (2**62 + 1, 2**62, -(2**62)):
         assert mask_value(nd, F(p, 3)).is_zero == zs.member(F(p, 3))
@@ -407,7 +403,7 @@ def test_batch_routes_refuse_int64_overflow():
 
 
 def test_scalar_batch_agreement():
-    nd = norm([0, 3, 4, 7])
+    nd = normalize_digits([0, 3, 4, 7])
     zs = zero_set(nd)
     for q in (2, 5, 8, 12):
         ps = np.arange(1, 3 * q + 1)
@@ -453,7 +449,7 @@ def test_mask_vanishes_refuses_non_integer_digits():
     for digits in [(0, 2.5), (0, F(5, 2)), (0, 1.0)]:
         with pytest.raises(InvalidInput):
             mask_vanishes(digits, F(1, 5))
-    assert mask_vanishes(norm([0, F(5, 2)]), F(1, 2))
+    assert mask_vanishes(normalize_digits([0, F(5, 2)]), F(1, 2))
     assert mask_vanishes((0, 5), F(1, 10))
 
 
