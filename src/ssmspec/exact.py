@@ -163,6 +163,14 @@ def as_digit(x: DigitLike) -> Digit:
 
 
 def _digit_value(x: DigitLike) -> Union[int, Fraction]:
+    if isinstance(x, str):  # digit text with t is refused by name; other text is read as a rational
+        try:
+            digit = parse_digit(x)
+        except InvalidInput:
+            pass
+        else:
+            if not digit.is_rational:
+                x = digit
     if isinstance(x, Digit):
         if not x.is_rational:
             raise InvalidInput(f"digit {x} carries the symbolic t, which only classify accepts")
@@ -176,7 +184,9 @@ def digit_values(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tuple[
     A digit is an exact rational (see `as_fraction`) or a rational `Digit`;
     integral values come back as ints, plain ints untouched, and the rest as
     Fractions.  `NormalizedDigits` give their integers.  An empty set,
-    repeated values and digits carrying the symbolic t raise InvalidInput.
+    repeated values (with the message of `normalize_digits`) and digits
+    carrying the symbolic t, as a `Digit` or as digit text, raise
+    InvalidInput.
     """
     if isinstance(values, NormalizedDigits):
         return values.integers
@@ -184,7 +194,7 @@ def digit_values(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tuple[
     if not out:
         raise InvalidInput("digit set is empty")
     if len(set(out)) != len(out):
-        raise InvalidInput(f"repeated values in {{{', '.join(map(str, out))}}}")
+        raise InvalidInput("duplicate digits")
     return out
 
 

@@ -11,6 +11,7 @@ decays like N**-k).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO, Union
@@ -112,9 +113,11 @@ class MuHatEvaluator:
 
 # Largest Gram matrix built.  gram_matrix holds a few n*n arrays (the
 # differences, their sort and inverse index, the complex values), and
-# gram_csv renders one row at a time, so `ssmspec gram` at 2,048 points peaks
-# near 0.23 GB whatever the digits; mu_hat sees only the distinct differences
-# (4,095 for range(2048)).
+# gram_csv renders one row at a time beside a bounded cache of entry texts
+# (_GRAM_TEXTS), so `ssmspec gram --out` at 2,048 points peaks near
+# 0.23 GB whatever the digits and takes 6.4-6.8 s for a level-11 truncation
+# (Python 3.11.7, 2 cores); mu_hat sees only the distinct differences (4,095
+# for range(2048)).
 MAX_GRAM_POINTS = 1 << 11
 # Largest Q function, counted as grid count * points * #D mask terms: the
 # Gram budget above.  q_function sums power over blocks of _Q_BLOCK_TERMS
@@ -213,9 +216,35 @@ def q_samples_csv(xi_grid: Sequence[float], q_values: Sequence[float], level: in
         out.writelines("%.17g,%.17g,%s\n" % (xi, q, level) for xi, q in rows)
 
 
+# Distinct entries whose text `gram_csv` keeps, about 1.5 MB of keys and
+# text.  A full cache is emptied and filled again: at 2,048 points (177k
+# distinct entries) that formats half the entries, where keeping the first
+# ones would format 88%.
+_GRAM_TEXTS = 1 << 13
+
+
 def gram_csv(matrix: np.ndarray, out: TextIO) -> None:
     """Write the CSV with header i,j,re,im into `out` one matrix row at a
-    time, floats at 17 significant digits."""
+    time, floats at 17 significant digits.
+
+    A Gram matrix repeats most of its entries, so each entry's text is kept
+    in a bounded cache, keyed by its 16 bytes as a complex: -0.0, 0.0 and
+    each NaN keep their own text.
+    """
     out.write("i,j,re,im\n")
+    heads = [f"{j}," for j in range(matrix.shape[-1])]
+    texts: dict[bytes, str] = {}
     for i, row in enumerate(matrix):
-        out.writelines("%d,%d,%.17g,%.17g\n" % (i, j, z.real, z.imag) for j, z in enumerate(row.tolist()))
+        row = np.ascontiguousarray(row, dtype=complex)
+        keys = row.view("V16").tolist()
+        cells = list(map(texts.get, keys))
+        if None in cells:
+            for j, z in enumerate(row.tolist()):
+                if cells[j] is None:
+                    cell = texts.get(keys[j])
+                    if cell is None:
+                        if len(texts) == _GRAM_TEXTS:
+                            texts.clear()
+                        cell = texts[keys[j]] = "%.17g,%.17g\n" % (z.real, z.imag)
+                    cells[j] = cell
+        out.write(f"{i},".join(["", *map(operator.add, heads, cells)]))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -230,6 +231,27 @@ def test_digit_rule_accepts_exact_rationals():
 def test_digit_rule_refusals(values):
     with pytest.raises(InvalidInput):
         digit_values(values)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("t", "digit 1*t carries the symbolic t, which only classify accepts"),
+        ("1/2 + 3t", "digit 1/2 + 3*t carries the symbolic t, which only classify accepts"),
+        # Text that is no digit with t keeps the rational reading's refusal.
+        ("0*t", "malformed rational: '0*t'"),
+        ("-1+t", "malformed rational: '-1+t'"),
+        ("1/0+t", "malformed rational: '1/0+t'"),
+        ("x", "malformed rational: 'x'"),
+    ],
+)
+def test_digit_text_with_t_is_refused_by_name(text, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        digit_values(("0", text))
+
+
+def test_digit_text_keeps_its_rational_reading():
+    assert digit_values(("-1", " 3/2 ", "0")) == (-1, F(3, 2), 0)
 
 
 def test_integer_digits_refuses_non_integers():

@@ -1,6 +1,8 @@
 import io
+import math
 import os
 import tracemalloc
+from unittest import mock
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -251,6 +253,60 @@ def test_csv_formats():
     assert len(glines) == 5
 
 
+def gram_csv_per_entry(matrix, out):
+    """The Gram CSV formatted entry by entry: the oracle for gram_csv."""
+    out.write("i,j,re,im\n")
+    for i, row in enumerate(matrix):
+        out.writelines("%d,%d,%.17g,%.17g\n" % (i, j, z.real, z.imag) for j, z in enumerate(row.tolist()))
+
+
+def _csv_text(render, matrix) -> str:
+    out = io.StringIO()
+    render(matrix, out)
+    return out.getvalue()
+
+
+_special_floats = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1.0])
+_entry_floats = st.one_of(_special_floats, st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def gram_like_matrices(draw):
+    """Matrices drawn from a few values, so most entries repeat, in any of
+    the dtypes and memory layouts gram_csv may be given."""
+    kind = draw(st.sampled_from(["complex", "complex64", "float", "float32", "int64", "bool"]))
+    if kind == "int64":
+        pool = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6))
+    elif kind == "bool":
+        pool = [False, True]
+    elif kind.startswith("complex"):
+        pool = draw(st.lists(st.builds(complex, _entry_floats, _entry_floats), min_size=1, max_size=6))
+    else:
+        pool = draw(st.lists(_entry_floats, min_size=1, max_size=6))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols, max_size=rows * cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = np.asarray([pool[k] for k in picks], dtype=kind).reshape(rows, cols)
+    view = draw(st.sampled_from(["as is", "transpose", "every other row", "reversed columns"]))
+    if view == "transpose":
+        return matrix.T
+    if view == "every other row":
+        return matrix[::2]
+    if view == "reversed columns":
+        return matrix[:, ::-1]
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_like_matrices(), st.integers(1, 8))
+def test_gram_csv_writes_the_per_entry_bytes(matrix, cache_size):
+    # A cache this small holds fewer distinct entries than most matrices drawn.
+    expected = _csv_text(gram_csv_per_entry, matrix)
+    with mock.patch("ssmspec.numerics._GRAM_TEXTS", cache_size):
+        assert _csv_text(gram_csv, matrix) == expected
+    assert _csv_text(gram_csv, matrix) == expected
+
+
 def _traced_peak(render) -> int:
     """Peak traced allocation, in bytes, of rendering into a discarding sink."""
     with open(os.devnull, "w") as sink:
@@ -339,6 +395,7 @@ def test_gram_matrix_equals_all_pairs(digits, n_ratio, points):
     g = gram_matrix(ev, points)
     assert np.array_equal(g, gram_all_pairs(ev, points))
     assert np.array_equal(g.T, g.conj())
+    assert _csv_text(gram_csv, g) == _csv_text(gram_csv_per_entry, g)
 
 
 def test_gram_evaluates_each_distinct_difference_once(monkeypatch):

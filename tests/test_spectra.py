@@ -255,11 +255,11 @@ def test_bizero_refuses_bad_inputs_before_the_scan():
         with pytest.raises(InvalidInput, match="N must be >= 2"):
             greedy_bizero((0, 2), n_ratio, 10, 4)
     for text in ("0,t", "0,1,t"):  # irrational scale, irrational ratio
-        # As text, t is no rational; as a parsed Digit it is refused by name.
-        for digits, message in ((tuple(text.split(",")), "malformed rational: 't'"), (_parsed(text), "only classify accepts")):
-            with pytest.raises(InvalidInput, match=message):
+        # As text or as a parsed Digit, t is refused by name.
+        for digits in (tuple(text.split(",")), _parsed(text)):
+            with pytest.raises(InvalidInput, match="only classify accepts"):
                 is_bizero_set([0], digits, 4)
-            with pytest.raises(InvalidInput, match=message):
+            with pytest.raises(InvalidInput, match="only classify accepts"):
                 greedy_bizero(digits, 4, 10, 4)
 
 
