@@ -2,7 +2,7 @@
 
 All output is deterministic for fixed flags: JSON goes to stdout (or --out),
 diagnostics go to stderr.  Exit codes: 0 success, 1 scan invariant violation,
-2 unsupported or invalid input, 64 usage error.
+2 unsupported or invalid input, 64 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_UNSUPPORTED = 2
 EXIT_USAGE = 64
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 TOLERANCE_ENV = "SPECTRAL_SSM_TOL"
 
@@ -411,7 +412,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head`): stdout goes to devnull, so that the
+        # interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except Unsupported as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -190,20 +190,34 @@ def digit_values(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tuple[
     """
     if isinstance(values, NormalizedDigits):
         return values.integers
+    return _values(values, "digit set is empty", "duplicate digits")
+
+
+def _values(values: Iterable[DigitLike], empty: str, duplicate: str) -> tuple[Union[int, Fraction], ...]:
+    """The values of `digit_values`, an empty or repeating set refused with the given messages."""
     out = tuple(v if type(v) is int else _digit_value(v) for v in values)
     if not out:
-        raise InvalidInput("digit set is empty")
+        raise InvalidInput(empty)
     if len(set(out)) != len(out):
-        raise InvalidInput("duplicate digits")
+        raise InvalidInput(duplicate)
+    return out
+
+
+def _integers(out: tuple[Union[int, Fraction], ...]) -> tuple[int, ...]:
+    if any(type(v) is not int for v in out):
+        raise InvalidInput(f"integer values required here, got {{{', '.join(map(str, out))}}}")
     return out
 
 
 def integer_digits(values: Union[NormalizedDigits, Iterable[DigitLike]]) -> tuple[int, ...]:
     """`digit_values` where integers are needed: other values raise InvalidInput."""
-    out = digit_values(values)
-    if any(type(v) is not int for v in out):
-        raise InvalidInput(f"integer values required here, got {{{', '.join(map(str, out))}}}")
-    return out
+    return _integers(digit_values(values))
+
+
+def integer_points(values: Iterable[DigitLike]) -> tuple[int, ...]:
+    """Integer spectrum points, by the rule of `integer_digits`; an empty or
+    repeating spectrum is refused as such, with InvalidInput."""
+    return _integers(_values(values, "spectrum is empty", "duplicate spectrum points"))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .exact import InvalidInput, as_fraction, as_n_ratio, digit_values, integer_digits
+from .exact import InvalidInput, as_fraction, as_n_ratio, digit_values, integer_digits, integer_points
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -32,6 +32,17 @@ def float_mask(digits: Sequence[float], eta) -> np.ndarray:
     return np.exp(-2j * math.pi * np.multiply.outer(eta, d)).mean(axis=-1)
 
 
+def _float_digit(d) -> float:
+    """A digit as a float; an integer digit past 2**53, where floats stop
+    holding every integer, and a digit beyond the float range are refused."""
+    if type(d) is int and abs(d) > 1 << 53:
+        raise InvalidInput(f"a digit of {d.bit_length()} bits is past 2**53, which a float cannot hold exactly")
+    try:
+        return float(d)
+    except OverflowError:
+        raise InvalidInput("a digit is beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class MuHatEvaluator:
     """Evaluates the transform of mu_{1/N, digits} with certified truncation."""
@@ -41,7 +52,7 @@ class MuHatEvaluator:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(float(d) for d in digit_values(self.digits)))
+        object.__setattr__(self, "digits", tuple(map(_float_digit, digit_values(self.digits))))
         object.__setattr__(self, "n_ratio", as_n_ratio(self.n_ratio))
         if not (0.0 < self.tolerance < 1.0):
             raise InvalidInput("tolerance must lie in (0, 1)")
@@ -192,7 +203,7 @@ def unitarity_defect(n_ratio: int, digits: Sequence[int], spectrum: Sequence[int
     submatrix H = exp(2*pi*i*d*l/N)/sqrt(#D); the float twin of the exact
     Hadamard-triple check."""
     d = np.asarray(integer_digits(digits), dtype=float)
-    l = np.asarray(integer_digits(spectrum), dtype=float)
+    l = np.asarray(integer_points(spectrum), dtype=float)
     if d.size != l.size:
         raise InvalidInput("digit and spectrum sets must have equal size")
     h = np.exp(2j * math.pi * np.outer(d, l) / as_n_ratio(n_ratio)) / math.sqrt(d.size)

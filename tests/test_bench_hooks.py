@@ -78,3 +78,16 @@ def test_one_round_of_every_workload_passes_its_check(monkeypatch, tmp_path):
         # The only failures are the mu_hat decay sweeps, which miss their
         # tolerance by rounding at large |xi|.
         assert {workload.ops[i].kind for i in check.failed} <= {"decay"}, name
+
+
+def test_the_benchmark_empties_the_hadamard_memo():
+    # `ProgramCaches` clears every module-level lru cache between operations,
+    # so no operation is answered from a memo that an earlier one filled.
+    from ssmspec.hadamard import _is_hadamard
+
+    caches = _load_tracing().ProgramCaches()
+    assert caches.functions["ssmspec.hadamard._is_hadamard"] is _is_hadamard
+    _is_hadamard(4, (0, 1), (0, 2))
+    assert _is_hadamard.cache_info().currsize > 0
+    caches.clear()
+    assert _is_hadamard.cache_info().currsize == 0

@@ -842,6 +842,53 @@ def test_refused_dump_leaves_the_out_file_untouched(capsys, tmp_path, command):
     assert path.read_text() == "earlier output\n"
 
 
+@pytest.mark.parametrize(
+    "command,digits,spectrum,code",
+    [
+        ("gram", f"0,{2**53 + 1}", "greedy:100:4", 2),
+        ("qdump", f"0,{3**2000}", "triple", 2),
+        ("gram", f"0,{2**53}", "greedy:100:4", 0),
+    ],
+)
+def test_a_digit_past_2_to_the_53_exits_2_before_out_opens(capsys, tmp_path, command, digits, spectrum, code):
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier output\n")
+    argv = ["--rho", "1/4", "--digits", digits, "--spectrum", spectrum, "--level", "1", "--out", str(path)]
+    got, out, err = run(capsys, command, *argv)
+    assert (got, out) == (code, "")
+    if code:
+        assert err.startswith("invalid input: a digit of") and "past 2**53" in err
+        assert path.read_text() == "earlier output\n"
+    else:
+        assert path.read_text().startswith("i,j,re,im\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--cardinality", "2", "--digit-bound", "200", "--n-max", "64"],
+        ["gram", "--rho", "1/4", "--digits", "0,2", "--level", "8"],
+    ],
+)
+def test_a_reader_that_leaves_early_ends_the_command_with_exit_141(argv):
+    # Like `ssmspec ... | head -1`: the output is far larger than a pipe holds.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ssmspec
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ssmspec.__file__).parents[1])}
+    command = [sys.executable, "-m", "ssmspec.cli", *argv]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert first in (b"digits,N,outcome,reason,certificate_ok\n", b"i,j,re,im\n")
+    assert code == 141 and b"Traceback" not in err and err == b""
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])
 def test_scan_json_blocks_make_the_bytes_of_one_dump(capsys, monkeypatch, block):
     import ssmspec.cli as cli

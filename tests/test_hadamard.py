@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmspec.classify import Outcome, classify
-from ssmspec.cli import enumerate_digit_sets
+from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
 from ssmspec.exact import InternalInconsistency, InvalidInput, Unsupported, as_digit, four_digit_shape, parse_digit
 from ssmspec.hadamard import (
+    HADAMARD_CACHE_SIZE,
     MAX_SEARCH_N,
     HadamardTriple,
     ProductForm,
@@ -18,6 +19,7 @@ from ssmspec.hadamard import (
     direct_sum,
     find_spectrum_set,
     is_hadamard_triple,
+    _is_hadamard,
     tiles_zn,
     verify_product_form,
 )
@@ -38,6 +40,15 @@ from ssmspec.zeros import _vanishes_at, mask_value
 )
 def test_is_hadamard_examples(n, d, l, expected):
     assert is_hadamard_triple(n, d, l) is expected
+
+
+@pytest.fixture
+def cold_hadamard_memo():
+    """For tests that patch `_vanishes_at`: the memo of `_is_hadamard` starts
+    empty, so no answer is read warm, and keeps none of the patched answers."""
+    _is_hadamard.cache_clear()
+    yield
+    _is_hadamard.cache_clear()
 
 
 def test_is_hadamard_validation():
@@ -129,6 +140,7 @@ def test_find_spectrum_above_512(n, d, expected):
         assert unitarity_defect(n, d, found) < 1e-9
 
 
+@pytest.mark.usefixtures("cold_hadamard_memo")
 def test_find_spectrum_refuses_n_above_the_cap(monkeypatch):
     assert find_spectrum_set(MAX_SEARCH_N, (0, 1)) == (0, MAX_SEARCH_N // 2)
 
@@ -139,6 +151,75 @@ def test_find_spectrum_refuses_n_above_the_cap(monkeypatch):
     for n in (MAX_SEARCH_N + 1, 40_000_000):
         with pytest.raises(InvalidInput, match="search cap"):
             find_spectrum_set(n, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: is_hadamard_triple(4, (0, 2), (0, 0)), "duplicate spectrum points"),
+        (lambda: HadamardTriple(4, (0, 2), (1, 1)), "duplicate spectrum points"),
+        (lambda: unitarity_defect(4, (0, 2), (1, 1)), "duplicate spectrum points"),
+        (lambda: ProductForm(4, (0, 1), ((0, 2), (0, 2)), (0, 0), (0, 1)), "duplicate spectrum points"),
+        (lambda: ProductForm(4, (0, 1), ((0, 2), (0, 2)), (0, 2), (1, F(2, 2))), "duplicate spectrum points"),
+        (lambda: is_hadamard_triple(4, (0,), ()), "spectrum is empty"),
+        (lambda: HadamardTriple(4, (0, 2), ()), "spectrum is empty"),
+        (lambda: unitarity_defect(4, (0, 2), ()), "spectrum is empty"),
+        (lambda: ProductForm(4, (0, 1), ((0, 2), (0, 2)), (0, 2), ()), "spectrum is empty"),
+        (lambda: is_hadamard_triple(4, (0, 0), (0, 0)), "duplicate digits"),
+        (lambda: HadamardTriple(4, (), (0,)), "digit set is empty"),
+    ],
+)
+def test_spectrum_points_are_refused_as_points(call, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        call()
+
+
+def test_the_scan_checks_each_distinct_triple_once():
+    # The bound-30 four-digit scan's 8,030 certificates make 40,150 pairing
+    # checks of 3,160 distinct triples, all of which the memo holds at once.
+    _is_hadamard.cache_clear()
+    violations = []
+    for _ in run_scan(ScanConfig(4, 30, 2, 64), violations):
+        pass
+    info = _is_hadamard.cache_info()
+    assert not violations
+    assert (info.misses, info.hits) == (3160, 36990)
+    assert info.currsize <= info.maxsize == HADAMARD_CACHE_SIZE
+
+
+@st.composite
+def pairing_checks(draw):
+    """Calls of `_is_hadamard` on its stored form, drawn from a small pool so
+    that triples repeat; some have #D != #L."""
+    points = st.integers(-40, 40)
+
+    def point_set(size):
+        return st.lists(points, min_size=size, max_size=size, unique=True).map(tuple)
+
+    sizes = st.integers(1, 4)
+    pool = draw(
+        st.lists(
+            st.tuples(st.integers(2, 40), sizes, sizes, st.booleans()).flatmap(
+                lambda t: st.tuples(st.just(t[0]), point_set(t[1]), point_set(t[1] if t[3] else t[2]))
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairing_checks())
+def test_memoized_answers_are_the_pairing_rule(calls):
+    _is_hadamard.cache_clear()
+    for n, d, l in calls:
+        if len(d) != len(l):  # raised on every call: a refusal is not kept
+            with pytest.raises(InvalidInput, match="must agree"):
+                _is_hadamard(n, d, l)
+        else:
+            assert _is_hadamard(n, d, l) is _is_hadamard.__wrapped__(n, d, l)
+    assert _is_hadamard.cache_info().currsize == len({c for c in calls if len(c[1]) == len(c[2])})
 
 
 def test_five_digit_triple_above_512_is_unsupported():
@@ -211,6 +292,7 @@ def test_product_form_l2_equals_the_search(row):
     assert _oracle_product_form(cert.decomposition, n) == cert
 
 
+@pytest.mark.usefixtures("cold_hadamard_memo")
 def test_product_form_work_does_not_grow_with_n(monkeypatch):
     calls = 0
 

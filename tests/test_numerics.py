@@ -228,6 +228,18 @@ def test_evaluator_validation():
             MuHatEvaluator(digits, 4)
 
 
+def test_digits_a_float_would_corrupt_are_refused():
+    # Past 2**53 an integer digit loses its low bits as a float (2**53 + 1
+    # becomes 2**53), and 3**2000 leaves the float range altogether.
+    for digits in ((0, 2**53 + 1), (0, -(2**53) - 1), (0, 3**2000)):
+        with pytest.raises(InvalidInput, match=r"past 2\*\*53"):
+            MuHatEvaluator(digits, 4)
+    with pytest.raises(InvalidInput, match="beyond the float range"):
+        MuHatEvaluator((0, F(3**2000, 7)), 4)
+    assert MuHatEvaluator((0, 2**53, -(2**53)), 4).digits == (0.0, 2.0**53, -(2.0**53))
+    assert MuHatEvaluator((0, F(2**60 + 1, 3)), 4).digits == (0.0, float(F(2**60 + 1, 3)))  # rounded, as before
+
+
 def test_mu_hat_refuses_what_it_cannot_certify():
     ev = MuHatEvaluator((0, 2), 4)
     for xi in (1e300, float("inf"), float("nan"), [0.0, 1e300]):
