@@ -1,8 +1,9 @@
 """Command-line surface: classify, zeros, scan, qdump, gram.
 
 All output is deterministic for fixed flags: JSON goes to stdout (or --out),
-diagnostics go to stderr.  Exit codes: 0 success, 1 scan invariant violation,
-2 unsupported or invalid input, 64 usage error, 141 stdout closed by its reader.
+diagnostics go to stderr.  Exit codes: 0 success, 1 a scan row that
+contradicts the theorem or a certificate that fails, 2 unsupported or invalid
+input, 64 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .exact import (
     NormalizedDigits,
     Unsupported,
     as_digit,
-    four_digit_shape,
     integer_digits,
     parse_rational,
-    val2,
 )
 from .hadamard import HadamardTriple, find_spectrum_set
 from .numerics import (
@@ -187,29 +186,28 @@ def enumerate_digit_sets(cardinality: int, digit_bound: int) -> list[tuple[int, 
     return [(0, *rest) for rest in rests if math.gcd(*rest) == 1]
 
 
-def _card4_invariants(integers: tuple[int, ...], n_ratio: int) -> Iterator[str]:
-    """The necessity conditions a four-digit Spectral row breaks."""
-    shape = four_digit_shape(integers)
-    beta, _ = val2(n_ratio)
-    if n_ratio % 2:
-        yield "Spectral with odd N"
-    if shape is None:
-        yield "Spectral without the two-odd-one-even pattern"
-    elif shape.t1 != shape.t2:
-        yield "Spectral with t1 != t2"
-    elif beta and shape.t1 % beta == 0:
-        yield "Spectral with beta dividing t"
+def _theorem_says_spectral(ints: tuple[int, ...], n_ratio: int) -> bool:
+    """The classification of the scan's digits {0, ...} at 1/N, derived independently of
+    `_decide`: #D divides N, and three digits cover {1, 2} mod 3; four need N even, odd
+    a < c and even b != 0 with one 2**t exactly dividing b and c - a, val2(N) not dividing t."""
+    if len(ints) < 4:
+        return n_ratio % len(ints) == 0 and (len(ints) == 2 or {d % 3 for d in ints} == {0, 1, 2})
+    odd = [d for d in ints if d & 1]
+    if n_ratio & 1 or len(odd) != 2:
+        return False
+    b, gap = sum(ints) - sum(odd), odd[1] - odd[0]  # the even digit other than 0, and c - a
+    return b & -b == gap & -gap and ((b & -b).bit_length() - 1) % ((n_ratio & -n_ratio).bit_length() - 1) != 0
 
 
 def run_scan(cfg: ScanConfig, violations: list[str]) -> Iterator[dict]:
     """Classify every (digit set, N) pair in range, yielding one row each.
 
-    Each broken invariant is appended to ``violations`` as its row goes by,
-    so the list is complete only once the generator is exhausted.  A digit
-    set's facts come from its integers, which the enumeration has already
-    normalized.  The rule runs once per class of N (`_n_class`) whose result
-    has no certificate, and once per Spectral row, whose certificate is
-    checked once.
+    A row whose outcome `_theorem_says_spectral` contradicts, either way, or
+    whose certificate fails is appended to ``violations`` as it goes by, so
+    the list is complete once the generator is exhausted.  Facts come from
+    each set's enumerated integers.  The rule and that check run once per
+    class of N (`_n_class`) whose result has no certificate, and once per
+    Spectral row, whose certificate is checked once.
     """
     plain = {reason: (reason.outcome.value, reason.value, "") for reason in Reason}  # row text with no certificate
     unit = Digit(1)
@@ -225,12 +223,12 @@ def run_scan(cfg: ScanConfig, violations: list[str]) -> Iterator[dict]:
                 text = plain[reason]
                 if certificate is not None:
                     text = (*text[:2], str(certificate.verify()).lower())
+                says = "Spectral" if _theorem_says_spectral(digits, n_ratio) else "NonSpectral"
+                if text[0] != says:
+                    violations.append(f"{label} N={n_ratio}: {text[0]} ({text[1]}) where the theorem says {says}")
                 if reason is Reason.OK:
                     if text[2] != "true":
                         violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
-                    if cfg.cardinality == 4:
-                        problems = _card4_invariants(facts.normalized.integers, n_ratio)
-                        violations.extend(f"{label} N={n_ratio}: {problem}" for problem in problems)
                 elif certificate is None:
                     settled[n_class] = text
             outcome, reason_text, cert_ok = text
