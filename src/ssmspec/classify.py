@@ -161,14 +161,14 @@ class DigitFacts(NamedTuple):
     """Everything `classify` reads from a digit set; no part depends on rho.
 
     ``normalized`` is what `normalize_digits` returned for one to four
-    digits; five or more digits keep only their text, and classify as
-    Unsupported.  ``has_zeros`` says whether the mask zero set is nonempty,
-    and ``shape`` is the four-digit shape when it is.
+    digits.  ``settled`` is the (reason, citations) the digits decide at every
+    ratio (five or more digits, an irrational digit ratio, one digit, a mask
+    that never vanishes), else None, when four digits keep their ``shape``.
     """
 
     digit_text: tuple[str, ...]
     normalized: Union[NormalizedDigits, IrreducibleWitness, None] = None
-    has_zeros: bool = False
+    settled: Optional[tuple[Reason, tuple[str, ...]]] = None
     shape: Optional[FourDigitShape] = None
 
     @property
@@ -190,7 +190,7 @@ def _texts(values: Iterable, what: str) -> tuple[str, ...]:
 
 def digit_facts(digits: Union[DigitFacts, NormalizedDigits, Iterable]) -> DigitFacts:
     """The rho-independent part of `classify`: the digit text, normalization,
-    zero-set emptiness and four-digit shape.  Build it once to classify one
+    settled verdict and four-digit shape.  Build it once to classify one
     digit set at many ratios; a DigitFacts passes through unchanged.  A
     NormalizedDigits stands for its integers, as in `exact.digit_values`, so
     a record of scale 1 is taken as their normalization.  A digit whose text
@@ -210,13 +210,21 @@ def digit_facts(digits: Union[DigitFacts, NormalizedDigits, Iterable]) -> DigitF
         try:
             norm = normalize_digits(raw)
         except Unsupported:
-            return DigitFacts(digit_text)
+            return DigitFacts(digit_text, settled=(Reason.UNSUPPORTED, ("five-plus",)))
         if isinstance(norm, IrreducibleWitness):
-            return DigitFacts(digit_text, norm)
-    if norm.cardinality == 4:  # zero_set's own rule: the mask vanishes iff the shape exists
+            if len(raw) == 4:
+                return DigitFacts(digit_text, norm, (Reason.IRRATIONAL_DIGITS, ("irrational-digits",)))
+            return DigitFacts(digit_text, norm, (Reason.EMPTY_ZERO_SET, ("card3-irrational", "empty-zero-set")))
+    settled = shape = None
+    if norm.cardinality == 1:
+        settled = Reason.OK, ("dirac",)
+    elif norm.cardinality == 4:  # zero_set's own rule: the mask vanishes iff the shape exists
         shape = four_digit_shape(norm.integers)
-        return DigitFacts(digit_text, norm, shape is not None, shape)
-    return DigitFacts(digit_text, norm, norm.cardinality > 1 and not zero_set(norm).is_empty)
+        if shape is None:
+            settled = Reason.EMPTY_ZERO_SET, ("parity", "empty-zero-set")
+    elif zero_set(norm).is_empty:
+        settled = Reason.EMPTY_ZERO_SET, ("card3-residues", "empty-zero-set")
+    return DigitFacts(digit_text, norm, settled, shape)
 
 
 def classify(
@@ -243,67 +251,56 @@ def classify(
             raise InvalidInput("weight count must match digit count")
         weight_text, uniform = _texts(w, "a weight"), len(set(w)) == 1
     (rho_text,) = _texts((ratio,), "the ratio")
-    if uniform or not facts.supported:
-        reason, citations, certificate = _decide(ratio.reciprocal_integer(), facts)
-        if certificate is not None and not certificate.verify():
-            raise InternalInconsistency(f"certificate failed verification at rho = {rho_text}: {certificate.describe()}")
-        normalized = facts.normalized
-    else:
-        reason, citations, certificate, normalized = Reason.UNEQUAL_WEIGHTS, ("equal-weights",), None, None
-    return Verdict(reason, citations, rho_text, facts.digit_text, weight_text, normalized, certificate)
-
-
-def _decide(n_ratio: Optional[int], facts: DigitFacts) -> tuple[Reason, tuple[str, ...], Optional[Certificate]]:
-    """The rule for uniform weights at rho = 1/N, N None for other rho: (reason, citations, unverified certificate)."""
-    if not facts.supported:
-        return Reason.UNSUPPORTED, ("five-plus",), None
-
-    card = facts.cardinality
-    if isinstance(facts.normalized, IrreducibleWitness):
-        if card == 4:
-            return Reason.IRRATIONAL_DIGITS, ("irrational-digits",), None
-        return Reason.EMPTY_ZERO_SET, ("card3-irrational", "empty-zero-set"), None
-
-    if card == 1:
-        return Reason.OK, ("dirac",), Dirac()
-
-    if not facts.has_zeros:
-        cites = ("parity", "empty-zero-set") if card == 4 else ("card3-residues", "empty-zero-set")
-        return Reason.EMPTY_ZERO_SET, cites, None
-
-    if n_ratio is None:
-        return Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",), None
-
-    if card < 4:
-        # Two or three digits with a nonempty zero set: spectral iff card | N,
-        # with spectrum {j * N / card}.
-        rule = "bernoulli" if card == 2 else "card3"
-        if n_ratio % card:
-            reason = Reason.N_ODD if card == 2 else Reason.CARD3_N_NOT_DIVISIBLE_BY_3
-            return reason, (rule, "zero-containment"), None
-        spectrum = tuple(j * n_ratio // card for j in range(card))
-        return Reason.OK, (rule,), HadamardTriple(n_ratio, facts.normalized.integers, spectrum)
-
-    # Four digits with a nonempty zero set: exactly two of the nonzero digits
-    # are odd, and the classification runs on the 2-adic valuations.
-    if n_ratio % 2:
-        return Reason.N_ODD, ("card4", "zero-containment"), None
-    shape = facts.shape
-    if shape.t1 != shape.t2:
-        return Reason.T_DISTINCT, ("card4", "t-distinct"), None
-    beta, m = val2(n_ratio)
-    if shape.t1 % beta == 0:
-        return Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible"), None
-    dec = StructureDecomposition(a=shape.a, t=shape.t1, ell=shape.ell1, ell_prime=shape.ell2, beta=beta, m=m)
-    return Reason.OK, ("card4", "product-form"), construct_product_form(dec)
+    if facts.supported and not uniform:
+        return Verdict(Reason.UNEQUAL_WEIGHTS, ("equal-weights",), rho_text, facts.digit_text, weight_text)
+    n_ratio = ratio.reciprocal_integer()
+    reason, citations = _rule(facts, None if n_ratio is None else _n_class(n_ratio, facts.cardinality))
+    certificate = _certificate(facts, n_ratio) if reason is Reason.OK else None
+    if certificate is not None and not certificate.verify():
+        raise InternalInconsistency(f"certificate failed verification at rho = {rho_text}: {certificate.describe()}")
+    return Verdict(reason, citations, rho_text, facts.digit_text, weight_text, facts.normalized, certificate)
 
 
 def _n_class(n_ratio: int, cardinality: int) -> int:
-    """All that `_decide` reads of N before it builds a certificate: 2**beta,
-    the power of 2 in N, for four digits, and N mod #D otherwise.  So N of one
-    class get one reason and one set of citations for any digit set of that
-    cardinality, and only a Spectral certificate reads the rest of N."""
+    """The class of N that `_rule` reads: 2**beta, the power of 2 in N, for four digits, else N mod #D."""
     return n_ratio & -n_ratio if cardinality == 4 else n_ratio % cardinality
+
+
+def _rule(facts: DigitFacts, n_class: Optional[int]) -> tuple[Reason, tuple[str, ...]]:
+    """The (reason, citations) for uniform weights at rho = 1/N, from the
+    digit facts and the class of N (`_n_class`), None for other rho."""
+    if facts.settled is not None:
+        return facts.settled
+    if n_class is None:
+        return Reason.RHO_NOT_RECIPROCAL_INTEGER, ("an-wang",)
+    card = facts.cardinality
+    if card < 4:
+        # Two or three digits with a nonempty zero set: spectral iff card | N.
+        rule = "bernoulli" if card == 2 else "card3"
+        if n_class:
+            return (Reason.N_ODD if card == 2 else Reason.CARD3_N_NOT_DIVISIBLE_BY_3), (rule, "zero-containment")
+        return Reason.OK, (rule,)
+    # Four digits with a nonempty zero set: exactly two of the nonzero digits
+    # are odd, and the classification runs on the 2-adic valuations.
+    if n_class == 1:
+        return Reason.N_ODD, ("card4", "zero-containment")
+    shape = facts.shape
+    if shape.t1 != shape.t2:
+        return Reason.T_DISTINCT, ("card4", "t-distinct")
+    if shape.t1 % (n_class.bit_length() - 1) == 0:
+        return Reason.T_DIVISIBLE_BY_BETA, ("card4", "t-divisible")
+    return Reason.OK, ("card4", "product-form")
+
+
+def _certificate(facts: DigitFacts, n_ratio: Optional[int]) -> Certificate:
+    """The unverified certificate of a Spectral answer of `_rule` at rho = 1/N."""
+    card = facts.cardinality
+    if card == 1:
+        return Dirac()
+    if card < 4:  # spectrum {j * N / card}
+        return HadamardTriple(n_ratio, facts.normalized.integers, tuple(j * n_ratio // card for j in range(card)))
+    shape, (beta, m) = facts.shape, val2(n_ratio)
+    return construct_product_form(StructureDecomposition(shape.a, shape.t1, shape.ell1, shape.ell2, beta, m))
 
 
 def explain(v: Verdict) -> str:

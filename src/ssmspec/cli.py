@@ -1,9 +1,10 @@
 """Command-line surface: classify, zeros, scan, qdump, gram.
 
 All output is deterministic for fixed flags: JSON goes to stdout (or --out),
-diagnostics go to stderr.  Exit codes: 0 success, 1 a scan row that
-contradicts the theorem or a certificate that fails, 2 unsupported or invalid
-input, 64 usage error, 141 stdout closed by its reader.
+diagnostics go to stderr.  Exit codes: 0 success, 1 a scan decision (one per
+digit set and class of N) that contradicts the theorem or a certificate that
+fails, 2 unsupported or invalid input, 64 usage error, 141 stdout closed by
+its reader.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .classify import Outcome, Reason, Verdict, _decide, _n_class, classify, digit_facts, explain
+from .classify import Outcome, Reason, Verdict, _certificate, _n_class, _rule, classify, digit_facts, explain
 from .exact import (
     ContractionRatio,
     Digit,
@@ -188,7 +189,7 @@ def enumerate_digit_sets(cardinality: int, digit_bound: int) -> list[tuple[int, 
 
 def _theorem_says_spectral(ints: tuple[int, ...], n_ratio: int) -> bool:
     """The classification of the scan's digits {0, ...} at 1/N, derived independently of
-    `_decide`: #D divides N, and three digits cover {1, 2} mod 3; four need N even, odd
+    `_rule`: #D divides N, and three digits cover {1, 2} mod 3; four need N even, odd
     a < c and even b != 0 with one 2**t exactly dividing b and c - a, val2(N) not dividing t."""
     if len(ints) < 4:
         return n_ratio % len(ints) == 0 and (len(ints) == 2 or {d % 3 for d in ints} == {0, 1, 2})
@@ -202,36 +203,33 @@ def _theorem_says_spectral(ints: tuple[int, ...], n_ratio: int) -> bool:
 def run_scan(cfg: ScanConfig, violations: list[str]) -> Iterator[dict]:
     """Classify every (digit set, N) pair in range, yielding one row each.
 
-    A row whose outcome `_theorem_says_spectral` contradicts, either way, or
-    whose certificate fails is appended to ``violations`` as it goes by, so
-    the list is complete once the generator is exhausted.  Facts come from
-    each set's enumerated integers.  The rule and that check run once per
-    class of N (`_n_class`) whose result has no certificate, and once per
-    Spectral row, whose certificate is checked once.
+    A class of N (`_n_class`) whose outcome `_theorem_says_spectral`
+    contradicts, either way, or a row whose certificate fails is appended to
+    ``violations`` as it goes by, so the list is complete once the generator
+    is exhausted.  Facts come from each set's enumerated integers.  The rule
+    and that check run once per digit set and class of N, which keeps its
+    row text; each Spectral row builds and checks its own certificate.
     """
     plain = {reason: (reason.outcome.value, reason.value, "") for reason in Reason}  # row text with no certificate
+    spectral = plain[Reason.OK]
     unit = Digit(1)
     n_classes = [(n_ratio, _n_class(n_ratio, cfg.cardinality)) for n_ratio in range(cfg.n_min, cfg.n_max + 1)]
     for digits in enumerate_digit_sets(cfg.cardinality, cfg.digit_bound):
         facts = digit_facts(NormalizedDigits(unit, digits))
-        label = ",".join(map(str, digits))
-        settled = {}  # row text of each class of N whose rule gave no certificate
+        label = ",".join(facts.digit_text)
+        texts = {}  # row text of each class of N
         for n_ratio, n_class in n_classes:
-            text = settled.get(n_class)
+            text = texts.get(n_class)
             if text is None:
-                reason, _, certificate = _decide(n_ratio, facts)
-                text = plain[reason]
-                if certificate is not None:
-                    text = (*text[:2], str(certificate.verify()).lower())
+                text = texts[n_class] = plain[_rule(facts, n_class)[0]]
                 says = "Spectral" if _theorem_says_spectral(digits, n_ratio) else "NonSpectral"
                 if text[0] != says:
                     violations.append(f"{label} N={n_ratio}: {text[0]} ({text[1]}) where the theorem says {says}")
-                if reason is Reason.OK:
-                    if text[2] != "true":
-                        violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
-                elif certificate is None:
-                    settled[n_class] = text
             outcome, reason_text, cert_ok = text
+            if text is spectral:
+                cert_ok = "true" if _certificate(facts, n_ratio).verify() else "false"
+                if cert_ok == "false":
+                    violations.append(f"{label} N={n_ratio}: Spectral without verified certificate")
             yield {"digits": label, "N": n_ratio, "outcome": outcome, "reason": reason_text, "certificate_ok": cert_ok}
 
 

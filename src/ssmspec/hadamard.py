@@ -173,6 +173,10 @@ class ProductForm:
         object.__setattr__(self, "l2", integer_points(self.l2))
         if len(self.a_set) != len(self.b_sets):
             raise InvalidInput("need one B block per element of A")
+        if len(self.a_set) != len(self.l1):
+            raise InvalidInput("A and L1 must have equal size")
+        if any(len(bs) != len(self.l2) for bs in self.b_sets):
+            raise InvalidInput("each B block and L2 must have equal size")
 
     def reconstruct_digits(self) -> tuple[int, ...] | None:
         """The union of the blocks a + N*B_a, or None if any elements collide."""

@@ -23,8 +23,9 @@ from ssmspec.classify import (
     Reason,
     Verdict,
     classify,
-    _decide,
+    _certificate,
     _n_class,
+    _rule,
     digit_facts,
     explain,
     hu_lau_infinite_bizero,
@@ -231,8 +232,8 @@ def test_four_digit_facts_agree_with_the_zero_set():
 
     for digits in enumerate_digit_sets(4, 20):
         facts = digit_facts(digits)
-        assert facts.has_zeros == (not zero_set(facts.normalized).is_empty), digits
-        assert facts.has_zeros == (sum(d % 2 for d in facts.normalized.integers) == 2), digits
+        assert (facts.settled is None) == (not zero_set(facts.normalized).is_empty), digits
+        assert (facts.settled is None) == (sum(d % 2 for d in facts.normalized.integers) == 2), digits
 
 
 @pytest.mark.parametrize(
@@ -264,16 +265,23 @@ def test_digit_facts_equal_fresh_classify_on_special_inputs(rho, digits, weights
 
 def test_digit_facts_record():
     facts = digit_facts((0, 1, 8, 9))
-    assert facts.supported and facts.has_zeros and facts.cardinality == 4
+    assert facts.supported and facts.settled is None and facts.cardinality == 4
     assert facts.normalized.integers == (0, 1, 8, 9)
     assert (facts.shape.t1, facts.shape.t2) == (3, 3)
     assert digit_facts(facts) is facts
     assert digit_facts(iter([0, 1, 8, 9])) == digit_facts(tuple(map(as_digit, (0, 1, 8, 9)))) == facts
-    assert digit_facts((0, 1, 2, 4)).shape is None and not digit_facts((0, 1, 2, 4)).has_zeros
+    no_zeros = digit_facts((0, 1, 2, 4))
+    assert no_zeros.shape is None and no_zeros.settled == (Reason.EMPTY_ZERO_SET, ("parity", "empty-zero-set"))
     five = digit_facts((0, 1, 2, 3, 4))
     assert not five.supported and five.normalized is None and five.cardinality == 5
     assert five.digit_text == ("0", "1", "2", "3", "4")
-    assert isinstance(digit_facts(("0", "1", "t", "1+t")).normalized, IrreducibleWitness)
+    assert five.settled == (Reason.UNSUPPORTED, ("five-plus",))
+    irrational = digit_facts(("0", "1", "t", "1+t"))
+    assert isinstance(irrational.normalized, IrreducibleWitness)
+    assert irrational.settled == (Reason.IRRATIONAL_DIGITS, ("irrational-digits",))
+    assert digit_facts((0,)).settled == (Reason.OK, ("dirac",))
+    assert digit_facts((0, 1, 4)).settled == (Reason.EMPTY_ZERO_SET, ("card3-residues", "empty-zero-set"))
+    assert digit_facts((0, 1, 2)).settled is None and digit_facts((0, 1, 2)).shape is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,19 +314,22 @@ def test_normalized_digits_stand_for_their_integers():
 
 
 def test_decide_reads_only_the_class_of_n():
-    # Below a certificate, the rule reads N only through _n_class: 2**beta for
-    # four digits and N mod #D otherwise.  A certificate comes back exactly
-    # when the reason is OK.
+    # The rule takes the class of N (_n_class: 2**beta for four digits, N mod
+    # #D otherwise), and only a Spectral answer's certificate reads N itself;
+    # the two give classify's reason, citations and certificate.
     from ssmspec.cli import enumerate_digit_sets
 
+    spectral = 0
     for card in (2, 3, 4):
         for digits in enumerate_digit_sets(card, 12):
             facts = digit_facts(digits)
-            seen = {}
             for n in range(2, 257):
-                reason, citations, certificate = _decide(n, facts)
-                assert (certificate is not None) == (reason is Reason.OK), (digits, n)
-                assert seen.setdefault(_n_class(n, card), (reason, citations)) == (reason, citations), (digits, n)
+                reason, citations = _rule(facts, _n_class(n, card))
+                certificate = _certificate(facts, n) if reason is Reason.OK else None
+                v = classify(F(1, n), facts)
+                assert (reason, citations, certificate) == (v.reason, v.citations, v.certificate), (digits, n)
+                spectral += certificate is not None
+    assert spectral > 0
 
 
 @pytest.mark.parametrize("digit", [10**5000, F(1, 10**5000)], ids=["int", "fraction"])
@@ -518,7 +529,7 @@ def test_only_records_that_check_their_fields_are_dataclasses():
         (ZeroSet(()), "ZeroSet(parts=())"),
         (MuZeroTest(ZeroSet(()), 4, 1), "MuZeroTest(mask_zeros=ZeroSet(parts=()), n_ratio=4, den=1)"),
         (BiZeroReport(), "BiZeroReport(violating_pair=None)"),
-        (DigitFacts(("0",)), "DigitFacts(digit_text=('0',), normalized=None, has_zeros=False, shape=None)"),
+        (DigitFacts(("0",)), "DigitFacts(digit_text=('0',), normalized=None, settled=None, shape=None)"),
         (
             Verdict(Reason.OK, ("dirac",), "1/2", ("0",), None),
             "Verdict(reason=<Reason.OK: 'OK'>, citations=('dirac',), rho_text='1/2', digit_text=('0',), "

@@ -442,29 +442,35 @@ def test_scan_violation_exits_1(capsys, monkeypatch):
 
 
 def test_scan_reports_each_invariant_violation(capsys, monkeypatch):
-    # The rule's verdict on one (digit set, N), flipped each way for two,
-    # three and four digits, and one certificate that fails: each is one
-    # stderr line and exit 1.  N is the first of its class in 2..8, and a
-    # flip to NonSpectral settles the whole class with one line.
+    # The rule's verdict on one (digit set, class of N), flipped each way for
+    # two, three and four digits, and one certificate that fails: each is one
+    # stderr line and exit 1.  N is the first of its class in 2..8, which the
+    # line names; a class flipped to Spectral gets a certificate that holds.
     import ssmspec.cli as cli
-    from ssmspec.classify import Dirac, _decide
+    from ssmspec.classify import Dirac, _certificate, _n_class, _rule
 
     class Failing:
         def verify(self):
             return False
 
-    def flip(n_ratio, facts):
-        if (facts.normalized.integers, n_ratio) != (target, n):
-            return _decide(n_ratio, facts)
-        if kind == "certificate":
-            return Reason.OK, (), Failing()
-        if _decide(n_ratio, facts)[0] is Reason.OK:
-            return Reason.EMPTY_ZERO_SET, (), None
-        return Reason.OK, (), Dirac()
+    def targeted(facts, n_class):
+        return (facts.normalized.integers, n_class) == (target, _n_class(n, len(target)))
 
-    monkeypatch.setattr(cli, "_decide", flip)
+    def flip(facts, n_class):
+        reason, citations = _rule(facts, n_class)
+        if not targeted(facts, n_class) or kind == "certificate":
+            return reason, citations
+        return (Reason.EMPTY_ZERO_SET, ()) if reason is Reason.OK else (Reason.OK, ())
+
+    def certificate(facts, n_ratio):
+        if not targeted(facts, _n_class(n_ratio, facts.cardinality)):
+            return _certificate(facts, n_ratio)
+        return Failing() if kind == "certificate" else Dirac()
+
+    monkeypatch.setattr(cli, "_rule", flip)
+    monkeypatch.setattr(cli, "_certificate", certificate)
     cases = [
-        ((0, 1), 4, "flip", "0,1 N=4: NonSpectral (EmptyZeroSet) where the theorem says Spectral"),
+        ((0, 1), 2, "flip", "0,1 N=2: NonSpectral (EmptyZeroSet) where the theorem says Spectral"),
         ((0, 1), 3, "flip", "0,1 N=3: Spectral (OK) where the theorem says NonSpectral"),
         ((0, 1, 2), 3, "flip", "0,1,2 N=3: NonSpectral (EmptyZeroSet) where the theorem says Spectral"),
         ((0, 1, 2), 2, "flip", "0,1,2 N=2: Spectral (OK) where the theorem says NonSpectral"),
@@ -712,34 +718,39 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert code == 2 and "SPECTRAL_SSM_TOL" in err
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    """Wrap module.name so that each call appends its arguments to ``calls``."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_scan_normalizes_each_digit_set_once(monkeypatch):
     # The enumeration yields normalized integers, so no digit set goes through
-    # normalize_digits; the rule runs once per Spectral row and once per
-    # digit set and class of N with another outcome.
+    # normalize_digits; the rule and the theorem check run once per digit set
+    # and class of N, and a certificate is built once per Spectral row.
     import ssmspec.classify as classify_module
     import ssmspec.cli as cli
     from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
 
-    calls, decided = [], []
-    original, decide = classify_module.normalize_digits, cli._decide
-
-    def counting(dset):
-        calls.append(dset)
-        return original(dset)
-
-    def counting_decide(n_ratio, facts):
-        decided.append(n_ratio)
-        return decide(n_ratio, facts)
-
-    monkeypatch.setattr(classify_module, "normalize_digits", counting)
-    monkeypatch.setattr(cli, "_decide", counting_decide)
+    calls = {name: [] for name in ("normalize_digits", "_rule", "_theorem_says_spectral", "_certificate")}
+    _count_calls(monkeypatch, classify_module, "normalize_digits", calls["normalize_digits"])
+    for name in ("_rule", "_theorem_says_spectral", "_certificate"):
+        _count_calls(monkeypatch, cli, name, calls[name])
     violations = []
     rows = list(run_scan(ScanConfig(4, 15, 2, 24), violations))
     assert not violations and len(rows) == len(enumerate_digit_sets(4, 15)) * 23 == 409 * 23
-    assert calls == []
-    spectral = sum(row["outcome"] == "Spectral" for row in rows)
-    classes = {(row["digits"], row["N"] & -row["N"]) for row in rows if row["outcome"] != "Spectral"}
-    assert spectral > 0 and len(decided) == spectral + len(classes) < len(rows)
+    assert calls["normalize_digits"] == []
+    classes = sorted({(row["digits"], row["N"] & -row["N"]) for row in rows})
+    assert sorted((",".join(facts.digit_text), n_class) for facts, n_class in calls["_rule"]) == classes
+    assert sorted((",".join(map(str, ints)), n & -n) for ints, n in calls["_theorem_says_spectral"]) == classes
+    assert len(classes) < len(rows)
+    built = [(",".join(facts.digit_text), n_ratio) for facts, n_ratio in calls["_certificate"]]
+    assert built == [(row["digits"], row["N"]) for row in rows if row["outcome"] == "Spectral"] != []
 
 
 def test_scan_decides_three_digit_sets_once_per_residue_of_n(monkeypatch):
@@ -747,13 +758,11 @@ def test_scan_decides_three_digit_sets_once_per_residue_of_n(monkeypatch):
     from ssmspec.cli import ScanConfig, enumerate_digit_sets, run_scan
 
     decided = []
-    decide = cli._decide
-    monkeypatch.setattr(cli, "_decide", lambda n_ratio, facts: decided.append(n_ratio) or decide(n_ratio, facts))
+    _count_calls(monkeypatch, cli, "_rule", decided)
     rows = list(run_scan(ScanConfig(3, 12, 2, 40), []))
     assert len(rows) == len(enumerate_digit_sets(3, 12)) * 39
-    spectral = sum(row["outcome"] == "Spectral" for row in rows)
-    classes = {(row["digits"], row["N"] % 3) for row in rows if row["outcome"] != "Spectral"}
-    assert len(decided) == spectral + len(classes)
+    classes = {(row["digits"], row["N"] % 3) for row in rows}
+    assert sorted((",".join(facts.digit_text), n_class) for facts, n_class in decided) == sorted(classes)
     assert all(row["certificate_ok"] == "true" and row["N"] % 3 == 0 for row in rows if row["outcome"] == "Spectral")
 
 
@@ -943,11 +952,13 @@ def test_a_digit_past_2_to_the_53_exits_2_before_out_opens(capsys, tmp_path, com
     [
         ["scan", "--cardinality", "3", "--digit-bound", "60", "--n-max", "64"],
         ["gram", "--rho", "1/4", "--digits", "0,2", "--level", "8"],
+        ["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "4", "--grid", "1/65536"],
+        ["scan", "--cardinality", "3", "--digit-bound", "60", "--n-max", "64", "--format", "json"],
     ],
 )
 def test_a_reader_that_leaves_early_ends_the_command_with_exit_141(argv):
     # Like `ssmspec ... | head -1`: the output is far larger than a pipe holds
-    # (69,363 scan rows, about 2 MB; 65,536 Gram entries).
+    # (69,363 scan rows, about 2 MB as CSV; 65,536 Gram entries or Q samples).
     import subprocess
     import sys
     from pathlib import Path
@@ -961,7 +972,8 @@ def test_a_reader_that_leaves_early_ends_the_command_with_exit_141(argv):
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait()
-    assert first in (b"digits,N,outcome,reason,certificate_ok\n", b"i,j,re,im\n")
+    headers = {"scan": b"digits,N,outcome,reason,certificate_ok\n", "gram": b"i,j,re,im\n", "qdump": b"xi,q,level\n"}
+    assert first == (b"[\n" if "json" in argv else headers[argv[0]])
     assert code == 141 and b"Traceback" not in err and err == b""
 
 
@@ -1031,3 +1043,19 @@ def test_qdump_grid_points_are_the_rounded_exact_points(step):
         mp.setattr(cli, "q_samples_csv", lambda *args: None)
         assert main(["qdump", "--rho", "1/4", "--digits", "0,2", "--level", "1", f"--grid={step}"]) == 0
     assert grids[0].tolist() == [float(j * step) for j in range(int(1 / step))]
+
+
+@pytest.mark.parametrize(
+    "tolerance,argv,code,message",
+    [
+        ("abc", ["qdump", "--rho", "1/4"], 2, "invalid input: bad SPECTRAL_SSM_TOL: 'abc'"),
+        (None, ["qdump", "--rho", "2/5"], 2, "invalid input: numeric dumps need rho = 1/N for an integer N"),
+    ],
+    ids=["tolerance-text", "rho-not-reciprocal"],
+)
+def test_each_refusal_raises_its_message(capsys, monkeypatch, tolerance, argv, code, message):
+    monkeypatch.delenv("SPECTRAL_SSM_TOL", raising=False)
+    if tolerance is not None:
+        monkeypatch.setenv("SPECTRAL_SSM_TOL", tolerance)
+    got = run(capsys, *argv, "--digits", "0,2", "--level", "3", "--grid", "1/8")
+    assert got == (code, "", message + "\n")

@@ -291,3 +291,17 @@ def test_as_n_ratio_gives_an_int():
     for n in (F(4), "4"):
         with pytest.raises(InvalidInput, match="must be an integer"):
             as_n_ratio(n)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: NormalizedDigits(Digit(0), (0, 1)), InvalidInput, "scale must be positive"),
+        (lambda: ContractionRatio(F(1, 2), 0), InvalidInput, "root degree must be >= 1"),
+        (lambda: ContractionRatio.root(0, 2, 2), InvalidInput, "root form needs positive n, m"),
+    ],
+    ids=["normalized-scale", "root-degree", "root-base"],
+)
+def test_each_refusal_raises_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

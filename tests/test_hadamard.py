@@ -174,6 +174,28 @@ def test_spectrum_points_are_refused_as_points(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: HadamardTriple(4, (0, 2), (0, 1, 2)), InvalidInput, "digit and spectrum sets must have equal size"),
+        (lambda: unitarity_defect(4, (0, 2), (0, 1, 2)), InvalidInput, "digit and spectrum sets must have equal size"),
+        (lambda: ProductForm(4, (0, 1), ((0, 2),), (0, 2), (0, 1)), InvalidInput, "need one B block per element of A"),
+        (lambda: ProductForm(4, (0, 1), ((0, 2), (0, 2)), (0,), (0, 1)), InvalidInput, "A and L1 must have equal size"),
+        (
+            lambda: ProductForm(4, (0, 1), ((0, 2), (0, 2, 4)), (0, 2), (0, 1)),
+            InvalidInput,
+            "each B block and L2 must have equal size",
+        ),
+    ],
+    ids=["triple", "unitarity", "b-blocks", "a-and-l1", "b-and-l2"],
+)
+def test_each_refusal_raises_its_message(call, error, message):
+    # A product form of a bad shape is refused when it is built, so that
+    # verify_product_form can answer False on every form there is.
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_the_scan_checks_each_distinct_triple_once():
     # The bound-30 four-digit scan's 8,030 certificates make 40,150 pairing
     # checks of 3,160 distinct triples, all of which the memo holds at once.

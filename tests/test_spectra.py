@@ -299,3 +299,18 @@ def test_is_bizero_set_refuses_float_points():
     with pytest.raises(InvalidInput):
         is_bizero_set([0, 1.0], (0, 2), 4)
     assert is_bizero_set([0, "1/4", F(1, 2)], (0, 1, 8, 9), 4) == is_bizero_set([0, F(1, 4), F(1, 2)], (0, 1, 8, 9), 4)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: spectrum_truncation(HadamardTriple(4, (0, 2), (0, 1)), -1), InvalidInput, "level must be >= 0"),
+        (lambda: is_bizero_set([0, 1, F(1)], (0, 2), 4), InvalidInput, "points must be distinct"),
+        (lambda: greedy_bizero((0, 2), 4, 10, 0), InvalidInput, "max_count must be >= 1"),
+        (lambda: dj_example_spectrum(-1), InvalidInput, "n must be >= 0"),
+    ],
+    ids=["truncation-level", "bizero-points", "greedy-count", "dj-n"],
+)
+def test_each_refusal_raises_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -463,3 +463,13 @@ def test_the_exact_layers_import_no_numpy():
     code = "import ssmspec.classify, ssmspec.spectra, sys; assert 'numpy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": str(Path(ssmspec.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [(lambda: cyclotomic_poly(0), InvalidInput, "cyclotomic order must be >= 1")],
+    ids=["cyclotomic-order"],
+)
+def test_each_refusal_raises_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
